@@ -3,8 +3,8 @@
 //! Every runner returns structured rows plus a plain-text rendering that
 //! mirrors the corresponding table or figure series (normalized to the same
 //! baseline the paper uses). The Criterion benches in `crates/bench` invoke
-//! these runners and print their output, and EXPERIMENTS.md records the
-//! paper-reported versus measured values.
+//! these runners and print their output, and `tests/paper_claims.rs` checks
+//! the measured values against bands around the paper-reported ones.
 
 use plaid_arch::Architecture;
 use plaid_motif::{coverage, identify_motifs, IdentifyOptions};

@@ -218,10 +218,11 @@ pub fn compile_workload_on(
     compile_workload_on_seeded(workload, arch, mapper_choice, None)
 }
 
-/// Like [`compile_workload_on`], but threads an optional warm-start hint
-/// into the mapper: a canonical seed from a structurally identical fabric
-/// replays exactly, a proven-infeasible ladder prefix is skipped, and a
-/// foreign-fabric seed warm-starts the search heuristically. The produced
+/// Like [`compile_workload_on`], but threads an optional seeding hint into
+/// the mapper: a canonical seed whose ladder provably reproduces on this
+/// fabric (identical structure, or a capacity certificate admitting it)
+/// replays exactly, and a proven-infeasible ladder prefix is skipped. Any
+/// other hint is ignored, so the result equals the unseeded one. The produced
 /// [`CompiledWorkload`] carries its own [`PlacementSeed`] (via
 /// [`CompiledWorkload::summary`]) so sweeps can chain seeds across
 /// neighbouring design points.

@@ -62,7 +62,7 @@ OPTIONS:
                                   [default: rep8 — 4 workloads spanning domains]
     --passes <N>                  Sweep passes over the same plan [default: 2,
                                   demonstrating cold vs. cached performance]
-    --seed <off|exact|aggressive> Warm-start policy [default: exact — reuse
+    --seed <off|exact>            Warm-start policy [default: exact — reuse
                                   placement seeds across neighbouring design
                                   points whenever results stay bit-identical
                                   to a cold run]

@@ -8,16 +8,11 @@
 //! the nearest cached neighbour under a provisioning distance metric and
 //! packages it as the [`MapSeed`] hint the mappers consume.
 //!
-//! Two retrieval policies exist (see [`SeedPolicy`]):
-//!
-//! * `Exact` only returns hints that are provably result-preserving — seeds
-//!   and infeasibility prefixes from the *same family* (identical fabric
-//!   structure, differing only in configuration depth). Sweeps stay
-//!   bit-identical to cold runs while skipping most of the mapping work on
-//!   the depth axis.
-//! * `Aggressive` additionally returns the nearest foreign-family seed as a
-//!   heuristic warm start, which can recover feasibility at lower IIs but
-//!   may produce different (never invalid) mappings than a cold run.
+//! Under [`SeedPolicy::Exact`] the store only returns hints that are
+//! provably result-preserving — seeds from depth siblings (identical fabric
+//! structure) or whose capacity certificate admits this fabric, and
+//! infeasibility prefixes from the *same family*. Sweeps stay bit-identical
+//! to cold runs while skipping most of the mapping work on the depth axis.
 
 use std::collections::HashMap;
 use std::sync::RwLock;
@@ -37,9 +32,6 @@ pub enum SeedPolicy {
     /// Only result-preserving reuse (same fabric structure, depth axis):
     /// sweep results are bit-identical to a cold run.
     Exact,
-    /// Exact reuse plus heuristic warm starts from the nearest foreign
-    /// design point (results remain valid but may differ from a cold run).
-    Aggressive,
 }
 
 impl SeedPolicy {
@@ -52,10 +44,7 @@ impl SeedPolicy {
         match name {
             "off" => Ok(SeedPolicy::Off),
             "exact" => Ok(SeedPolicy::Exact),
-            "aggressive" => Ok(SeedPolicy::Aggressive),
-            other => Err(format!(
-                "unknown seed policy `{other}` (off|exact|aggressive)"
-            )),
+            other => Err(format!("unknown seed policy `{other}` (off|exact)")),
         }
     }
 
@@ -64,7 +53,6 @@ impl SeedPolicy {
         match self {
             SeedPolicy::Off => "off",
             SeedPolicy::Exact => "exact",
-            SeedPolicy::Aggressive => "aggressive",
         }
     }
 }
@@ -221,9 +209,8 @@ impl SeedStore {
     /// Seed selection prefers provably transferable seeds — same fabric
     /// signature (depth siblings) or a capacity certificate admitting this
     /// fabric's switch capacities (communication siblings) — nearest first
-    /// under the provisioning distance. Under [`SeedPolicy::Aggressive`] the
-    /// nearest non-transferable seed is offered as a heuristic warm start
-    /// when no sound candidate exists.
+    /// under the provisioning distance. Seeds that cannot replay here are
+    /// never offered.
     pub fn hint_for(
         &self,
         point: &SweepPoint,
@@ -242,22 +229,13 @@ impl SeedStore {
         // The sound tier mirrors what `plan_ladder` will actually accept:
         // only canonical seeds replay, so a nearer non-canonical seed must
         // not shadow a replayable canonical sibling.
-        let mut seed = candidates.and_then(|entries| {
+        let seed = candidates.and_then(|entries| {
             entries
                 .iter()
                 .filter(|(_, s)| s.canonical && s.transfers_to(fabric, nocap, &capacities))
                 .min_by_key(|(d, _)| provisioning_distance(d, &point.design))
                 .map(|(_, s)| s.clone())
         });
-        if seed.is_none() && policy == SeedPolicy::Aggressive {
-            // Nearest seed regardless of transferability, as a warm start.
-            seed = candidates.and_then(|entries| {
-                entries
-                    .iter()
-                    .min_by_key(|(d, _)| provisioning_distance(d, &point.design))
-                    .map(|(_, s)| s.clone())
-            });
-        }
         let infeasible = inner
             .infeasible
             .get(&SeedFamily::of(point))
@@ -269,11 +247,7 @@ impl SeedStore {
         if seed.is_none() && infeasible.is_none() {
             return None;
         }
-        Some(MapSeed {
-            seed,
-            infeasible,
-            allow_warm: policy == SeedPolicy::Aggressive,
-        })
+        Some(MapSeed { seed, infeasible })
     }
 
     /// Number of stored seeds across all families.
@@ -367,16 +341,10 @@ mod tests {
             .hint_for(&p8, &arch8, fp(&p8), SeedPolicy::Exact)
             .expect("same family");
         assert!(hint.seed.is_some());
-        assert!(!hint.allow_warm);
         // Off never serves hints.
         assert!(store
             .hint_for(&p8, &arch8, fp(&p8), SeedPolicy::Off)
             .is_none());
-        // Aggressive mode always offers the nearest seed as a warm start.
-        let lean = point(8, CommLevel::Lean);
-        let lean_arch = lean.design.build();
-        let aggressive = store.hint_for(&lean, &lean_arch, fp(&lean), SeedPolicy::Aggressive);
-        assert!(aggressive.is_some_and(|h| h.seed.is_some() && h.allow_warm));
     }
 
     #[test]

@@ -32,7 +32,8 @@ pub const UNROUTED_PENALTY: f64 = 1_000.0;
 
 /// Search-wide state shared by every II attempt of one ladder: the
 /// capacity certificate accumulating across attempts (including failed
-/// ones) and the DFG adjacency index, both built once per `map_with_seed`.
+/// ones) and the DFG adjacency index, both built once per ladder by the
+/// driver in `seed.rs`.
 pub(crate) struct LadderShared {
     /// Capacity-decision accumulator for the whole ladder.
     pub cert: Arc<crate::state::CapacityCert>,

@@ -22,16 +22,11 @@ use plaid_motif::{
 
 use crate::error::MapError;
 use crate::mapping::Mapping;
-use crate::mii::mii;
 use crate::placement::{place_node_best_effort, LadderShared, MapState};
 use crate::route::HardCapacityCost;
 use std::sync::Arc;
 
-use crate::sa::attempt_rng;
-use crate::seed::{
-    options_fingerprint, plan_ladder, LadderPlan, MapSeed, PlacementSeed, SeedContext, SeedOutcome,
-    SeededMapping,
-};
+use crate::seed::{attempt_rng, map_ladder, LadderMapper, MapSeed, SeededMapping};
 use crate::Mapper;
 
 /// Options of the Plaid mapper.
@@ -346,12 +341,9 @@ fn kind_matches(pattern: HardwiredPattern, kind: MotifKind) -> bool {
 }
 
 impl PlaidMapper {
-    /// Maps with an optional warm-start hint.
-    ///
-    /// The Plaid mapper consumes the two *sound* seeding tiers — exact
-    /// replay of a canonical same-fabric seed and ladder flooring past a
-    /// proven-infeasible prefix — and ignores heuristic foreign-fabric
-    /// seeds (motif templates do not translate across cluster layouts).
+    /// Maps with an optional seeding hint (see [`MapSeed`]): a replayable
+    /// seed is returned without searching, a proven-infeasible prefix
+    /// raises the starting II; results equal the unseeded run's.
     ///
     /// # Errors
     ///
@@ -362,84 +354,29 @@ impl PlaidMapper {
         arch: &Architecture,
         hint: Option<&MapSeed>,
     ) -> Result<SeededMapping, MapError> {
-        if dfg.memory_node_count() > 0 && arch.memory_unit_count() == 0 {
-            return Err(MapError::UnsupportedDfg(
-                "DFG contains memory operations but the architecture has no memory-capable unit"
-                    .into(),
-            ));
-        }
-        let ctx = SeedContext::of(dfg, arch);
-        let fingerprint = options_fingerprint(&self.options);
-        let start = mii(dfg, arch);
-        let max_ii = self.options.max_ii.unwrap_or(arch.params().max_ii());
-        let infeasible = || MapError::NoValidMapping {
-            kernel: dfg.name().to_string(),
-            arch: arch.name().to_string(),
-            max_ii,
+        let mapper = LadderMapper {
+            name: self.name(),
+            options: &self.options,
+            max_ii: self.options.max_ii,
+            certified: true,
         };
-        let (start, floored) =
-            match plan_ladder(hint, &ctx, self.name(), fingerprint, start, max_ii) {
-                LadderPlan::Infeasible => return Err(infeasible()),
-                LadderPlan::Replay(seed) => {
-                    if let Some(mapping) = seed.replay(dfg, arch) {
-                        return Ok(SeededMapping {
-                            seed: PlacementSeed::capture_inherited(
-                                dfg,
-                                &mapping,
-                                arch,
-                                fingerprint,
-                                seed,
-                            ),
-                            mapping,
-                            outcome: SeedOutcome::Replayed,
-                        });
-                    }
-                    (start, false)
-                }
-                LadderPlan::Ladder { start, floored, .. } => (start, floored),
-            };
-        // On non-Plaid fabrics every cluster has a single ALU, so motifs are
-        // mapped node-by-node; the hierarchical strategy only pays off on the
-        // PCU array, which is exactly the paper's observation in Figure 18.
-        let hdfg = if arch.class() == ArchClass::Plaid {
-            identify_motifs(dfg, &self.options.identify)
-        } else {
-            HierarchicalDfg::new(dfg, Vec::new())
-        };
-        // One capacity certificate accumulates across the whole ladder so
-        // the captured seed can prove its result transfers to
-        // differently-provisioned networks.
-        let shared = LadderShared::of(dfg, arch);
-        for ii in start..=max_ii {
-            // Per-II RNG: each attempt is a pure function of
-            // (dfg, fabric, ii), which is what makes ladder prefixes
-            // transferable across configuration depths.
-            let mut rng = attempt_rng(self.options.seed, ii);
-            if let Some(state) = self.attempt_ii(dfg, arch, &hdfg, ii, &mut rng, &shared) {
-                let mapping = state.into_mapping(self.name());
-                mapping.validate(dfg, arch)?;
-                let (outcome, run_cert) = if floored {
-                    // Canonical but not transferable: the certificate does
-                    // not cover the skipped (proved-infeasible) prefix.
-                    (SeedOutcome::Floored, None)
+        // Motifs are identified on the first attempt only, so a replayed or
+        // fast-failed point never pays for it. On non-Plaid fabrics every
+        // cluster has a single ALU, so motifs are mapped node-by-node; the
+        // hierarchical strategy only pays off on the PCU array, which is
+        // exactly the paper's observation in Figure 18.
+        let mut hdfg = None;
+        map_ladder(dfg, arch, hint, mapper, |ii, shared| {
+            let hdfg = hdfg.get_or_insert_with(|| {
+                if arch.class() == ArchClass::Plaid {
+                    identify_motifs(dfg, &self.options.identify)
                 } else {
-                    (SeedOutcome::Scratch, Some(&*shared.cert))
-                };
-                return Ok(SeededMapping {
-                    seed: PlacementSeed::capture_with_cert(
-                        dfg,
-                        &mapping,
-                        arch,
-                        fingerprint,
-                        true,
-                        run_cert,
-                    ),
-                    mapping,
-                    outcome,
-                });
-            }
-        }
-        Err(infeasible())
+                    HierarchicalDfg::new(dfg, Vec::new())
+                }
+            });
+            let mut rng = attempt_rng(self.options.seed, ii);
+            self.attempt_ii(dfg, arch, hdfg, ii, &mut rng, shared)
+        })
     }
 }
 
@@ -456,6 +393,7 @@ impl Mapper for PlaidMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mii::mii;
     use plaid_arch::plaid as plaid_fabric;
     use plaid_arch::{spatio_temporal, specialize};
     use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};

@@ -1,5 +1,4 @@
-//! Warm-start placement seeds: serializable mapping snapshots that let a
-//! mapper skip work already done for a structurally related design point.
+//! Placement seeds and the II-ladder driver shared by every modulo mapper.
 //!
 //! A [`PlacementSeed`] captures the full solution of one successful mapping —
 //! placements, routes and the achieved II — together with a *fabric
@@ -10,32 +9,35 @@
 //! the routing structure, so design points that differ only in depth share a
 //! signature.
 //!
-//! Two reuse tiers follow from that:
+//! Seeds are only ever reused when reuse provably preserves the result:
 //!
 //! * **Exact replay** — when the seed's signature, mapper and options match
 //!   the target and every per-II attempt is a pure function of
-//!   `(dfg, fabric, ii)` (the mappers reseed their RNG per II), the target's
-//!   ladder provably reproduces the seed's result. The seed is re-validated
-//!   on the target fabric and returned directly; sweep results are
-//!   bit-identical to a cold run.
-//! * **Heuristic warm start** — across signatures (neighbouring
-//!   communication levels or array dimensions) the seed's placement is
-//!   translated by functional-unit ordinal and used as the starting point of
-//!   annealing / negotiation, falling back to greedy placement whenever a
-//!   translated assignment is infeasible on the new fabric.
+//!   `(dfg, fabric, ii)` (see `attempt_rng`), the target's ladder provably
+//!   reproduces the seed's result. The seed is re-validated on the target
+//!   fabric and returned directly; sweep results are bit-identical to a cold
+//!   run. A capacity certificate extends the same guarantee to fabrics that
+//!   differ only in switch capacities.
+//! * **Infeasible prefix** — an [`InfeasiblePrefix`] transfers the
+//!   complementary fact: a ladder that failed through II `k` on the same
+//!   fabric structure proves every `ii <= k` infeasible, so a deeper
+//!   configuration memory can start its ladder at `k + 1`.
 //!
-//! An [`InfeasiblePrefix`] transfers the complementary fact: a ladder that
-//! failed through II `k` on the same fabric structure proves every `ii <= k`
-//! infeasible, so a deeper configuration memory can start its ladder at
-//! `k + 1`.
+//! Both are applied by `map_ladder`, the one II ladder every modulo mapper
+//! runs (SA, PathFinder and Plaid differ only in their per-II attempt).
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use plaid_arch::{Architecture, ResourceId, ResourceKind};
 use plaid_dfg::{Dfg, EdgeId, NodeId};
 
+use crate::error::MapError;
 use crate::mapping::{Mapping, Placement, Route, RouteHop};
-use crate::placement::MapState;
+use crate::mii::mii;
+use crate::placement::{LadderShared, MapState};
+use crate::state::CapacityCert;
 
 /// FNV-1a over a stream of words (stable across platforms and runs).
 #[derive(Debug, Clone, Copy)]
@@ -83,10 +85,9 @@ pub fn fabric_signature_nocap(arch: &Architecture) -> u64 {
 /// Content hash of the DFG a seed or infeasibility proof was derived on:
 /// node operations (with immediates) and edge topology. A mapping result or
 /// ladder proof is only meaningful for the exact graph it was computed on,
-/// so the mappers' shared ladder planner (`plan_ladder`) ignores hints whose
-/// DFG fingerprint does not match the
-/// graph being mapped — a caller passing a hint captured from a different
-/// workload gets a scratch run, never a spurious fast-fail.
+/// so the ladder driver ignores hints whose DFG fingerprint does not match
+/// the graph being mapped — a caller passing a hint captured from a
+/// different workload gets a scratch run, never a spurious fast-fail.
 pub fn dfg_fingerprint(dfg: &Dfg) -> u64 {
     let mut h = Fnv::new();
     h.word(dfg.node_count() as u64);
@@ -156,9 +157,6 @@ pub struct SeedPlacement {
     pub node: u32,
     /// Functional-unit resource id on the source fabric.
     pub fu: u32,
-    /// Ordinal of `fu` among the source fabric's functional units, used to
-    /// translate the placement onto fabrics with a different layout.
-    pub fu_ordinal: u32,
     /// Absolute schedule cycle.
     pub cycle: u32,
 }
@@ -181,8 +179,8 @@ pub struct SeedRoute {
     pub hops: Vec<SeedHop>,
 }
 
-/// A serializable snapshot of one successful mapping, reusable as a
-/// warm-start seed for related design points.
+/// A serializable snapshot of one successful mapping, reusable by related
+/// design points.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlacementSeed {
     /// Name of the mapper that produced the mapping (`Mapper::name`).
@@ -195,21 +193,17 @@ pub struct PlacementSeed {
     pub fabric: u64,
     /// Achieved initiation interval.
     pub ii: u32,
-    /// Functional units on the source fabric (for ordinal translation).
-    pub fu_count: u32,
     /// Whether the mapping is the canonical (scratch-equivalent) result for
-    /// its design point. Only canonical seeds are eligible for exact replay;
-    /// heuristically warm-started results are marked non-canonical so they
-    /// never masquerade as what a cold run would have produced.
+    /// its design point. Only canonical seeds are eligible for exact replay.
+    /// Every seed this build captures is canonical; persisted caches written
+    /// by older builds can still hold non-canonical ones.
     pub canonical: bool,
     /// Fabric signature with switch capacities erased (see
     /// [`fabric_signature_nocap`]).
     pub fabric_nocap: u64,
     /// Per-resource minimum switch capacities under which the ladder run
     /// that produced this seed reproduces bit-for-bit (empty when the run is
-    /// not capacity-transferable — e.g. PathFinder, whose negotiation costs
-    /// read capacities directly, or a floored ladder whose skipped prefix
-    /// was proved on this fabric only).
+    /// not capacity-transferable; see `map_ladder`).
     pub cap_need: Vec<u32>,
     /// Per-resource maximum switch capacities for the same guarantee
     /// (`u32::MAX` when no query was ever refused at that resource).
@@ -221,39 +215,24 @@ pub struct PlacementSeed {
 }
 
 impl PlacementSeed {
-    /// Captures a seed from a finished mapping on the architecture it was
-    /// produced for, without a capacity certificate (the seed replays only
-    /// on fabrics with an identical full signature).
+    /// Captures the canonical seed of a finished mapping on the architecture
+    /// it was produced for. With a capacity certificate of the ladder run
+    /// that produced the mapping, the seed also transfers to fabrics that
+    /// differ only in switch capacities within the certified bounds; without
+    /// one it replays only on fabrics with an identical full signature.
     pub fn capture(
         dfg: &Dfg,
         mapping: &Mapping,
         arch: &Architecture,
         options: u64,
-        canonical: bool,
+        cert: Option<&CapacityCert>,
     ) -> Self {
-        Self::capture_with_cert(dfg, mapping, arch, options, canonical, None)
-    }
-
-    /// Captures a seed carrying the capacity certificate of the ladder run
-    /// that produced the mapping, making it transferable to fabrics that
-    /// differ only in switch capacities within the certified bounds.
-    pub fn capture_with_cert(
-        dfg: &Dfg,
-        mapping: &Mapping,
-        arch: &Architecture,
-        options: u64,
-        canonical: bool,
-        cert: Option<&crate::state::CapacityCert>,
-    ) -> Self {
-        let fus: Vec<ResourceId> = arch.functional_units().map(|r| r.id).collect();
-        let ordinal_of = |fu: ResourceId| fus.iter().position(|&f| f == fu).unwrap_or(0) as u32;
         let mut placements: Vec<SeedPlacement> = mapping
             .placements
             .iter()
             .map(|(&node, p)| SeedPlacement {
                 node: node.0,
                 fu: p.fu.0,
-                fu_ordinal: ordinal_of(p.fu),
                 cycle: p.cycle,
             })
             .collect();
@@ -280,39 +259,13 @@ impl PlacementSeed {
             dfg: dfg_fingerprint(dfg),
             fabric: fabric_signature(arch),
             ii: mapping.ii,
-            fu_count: fus.len() as u32,
-            canonical,
+            canonical: true,
             fabric_nocap: fabric_signature_nocap(arch),
             cap_need: cert.map(|c| c.need()).unwrap_or_default(),
             cap_ceil: cert.map(|c| c.ceil()).unwrap_or_default(),
             placements,
             routes,
         }
-    }
-
-    /// Captures the seed of a mapping obtained by *replaying* `source` on
-    /// `arch`: the capacity certificate is inherited verbatim — the original
-    /// ladder's decision proof remains valid for any further fabric inside
-    /// the same bounds — while the full-fabric signature is re-anchored to
-    /// the replay target.
-    pub fn capture_inherited(
-        dfg: &Dfg,
-        mapping: &Mapping,
-        arch: &Architecture,
-        options: u64,
-        source: &PlacementSeed,
-    ) -> Self {
-        let mut seed = Self::capture(dfg, mapping, arch, options, true);
-        seed.cap_need = source.cap_need.clone();
-        seed.cap_ceil = source.cap_ceil.clone();
-        seed
-    }
-
-    /// Whether this seed is eligible for exact replay on a fabric with
-    /// signature `fabric` for a mapper named `mapper` running under options
-    /// fingerprint `options`.
-    pub fn replay_eligible(&self, fabric: u64, mapper: &str, options: u64) -> bool {
-        self.canonical && self.fabric == fabric && self.mapper == mapper && self.options == options
     }
 
     /// Whether the ladder run behind this seed provably reproduces on a
@@ -416,29 +369,15 @@ pub struct InfeasiblePrefix {
     pub through_ii: u32,
 }
 
-/// The warm-start hint threaded through `compile_workload_on` into the
+/// The seeding hint threaded through `compile_workload_on` into the
 /// mappers: an optional placement seed plus an optional infeasibility proof.
+/// Either is used only when it provably preserves the result.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MapSeed {
     /// Placement seed from the nearest cached design point.
     pub seed: Option<PlacementSeed>,
     /// Ladder prefix proved infeasible on this fabric structure.
     pub infeasible: Option<InfeasiblePrefix>,
-    /// Whether a seed that is not provably result-preserving may still be
-    /// used as a heuristic warm start. Exact-mode sweeps leave this off so
-    /// their results stay bit-identical to cold runs.
-    pub allow_warm: bool,
-}
-
-impl MapSeed {
-    /// A hint carrying only a placement seed (heuristic warm start allowed).
-    pub fn from_seed(seed: PlacementSeed) -> Self {
-        MapSeed {
-            seed: Some(seed),
-            infeasible: None,
-            allow_warm: true,
-        }
-    }
 }
 
 /// How a seeded mapping run arrived at its result.
@@ -450,9 +389,6 @@ pub enum SeedOutcome {
     Floored,
     /// The seed re-validated on the target fabric and was returned directly.
     Replayed,
-    /// The result was produced from a heuristically translated seed
-    /// placement (non-canonical).
-    WarmStarted,
 }
 
 /// A mapping plus the provenance of how seeding contributed to it.
@@ -466,34 +402,145 @@ pub struct SeededMapping {
     pub seed: PlacementSeed,
 }
 
+/// Derives the RNG of one II attempt. Each attempt gets an independent
+/// stream that depends only on `(seed, ii)`, making every attempt a pure
+/// function of `(dfg, fabric, ii)` — the property that lets the ladder
+/// driver skip or replay ladder prefixes without changing results.
+pub(crate) fn attempt_rng(seed: u64, ii: u32) -> SmallRng {
+    SmallRng::seed_from_u64(seed ^ (u64::from(ii) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// The mapper running a ladder, as `map_ladder` needs to know it.
+pub(crate) struct LadderMapper<'o> {
+    /// `Mapper::name`, stamped on the mapping and its seed.
+    pub name: &'static str,
+    /// The mapper's options; seeds replay only under identical options.
+    pub options: &'o dyn std::fmt::Debug,
+    /// Optional II cap (defaults to the configuration-memory depth).
+    pub max_ii: Option<u32>,
+    /// Whether the mapper's seeds carry the ladder's capacity certificate.
+    pub certified: bool,
+}
+
+/// Runs the modulo-scheduling II ladder of one mapper: tries `attempt` at
+/// every II from the lower bound `mii` up to `max_ii` and returns the first
+/// success, validated, with its seed.
+///
+/// A hint is applied first. A canonical seed of the same DFG, mapper and
+/// options whose run provably reproduces on this fabric is replayed instead
+/// of searching; an infeasibility proof for this exact fabric raises the
+/// ladder's start. Both reproduce a cold run bit-for-bit because each
+/// attempt is a pure function of `(dfg, fabric, ii)`.
+///
+/// Seed certificates follow one policy:
+///
+/// * a scratch result of a `certified` mapper carries the ladder's capacity
+///   certificate (`cap_need`/`cap_ceil`, one entry per resource), so it may
+///   replay on fabrics that differ only in switch capacities;
+/// * a floored result carries none: the certificate does not cover the
+///   skipped prefix, which was proved on this fabric only;
+/// * a replayed result inherits its source's certificate, which still
+///   proves the source ladder's decisions inside the same bounds.
+///
+/// PathFinder is uncertified: its `NegotiatedCost` policy reads switch
+/// capacities outside `RoutingState::fits`, the only place the certificate
+/// records capacity decisions, so its runs may depend on capacities the
+/// certificate never saw.
+///
+/// # Errors
+///
+/// [`MapError::UnsupportedDfg`] when the DFG needs memory units the fabric
+/// lacks, [`MapError::NoValidMapping`] when no II up to `max_ii` maps, and
+/// any validation error of the produced mapping.
+pub(crate) fn map_ladder<'a>(
+    dfg: &'a Dfg,
+    arch: &'a Architecture,
+    hint: Option<&MapSeed>,
+    mapper: LadderMapper<'_>,
+    mut attempt: impl FnMut(u32, &LadderShared) -> Option<MapState<'a>>,
+) -> Result<SeededMapping, MapError> {
+    if dfg.memory_node_count() > 0 && arch.memory_unit_count() == 0 {
+        return Err(MapError::UnsupportedDfg(
+            "DFG contains memory operations but the architecture has no memory-capable unit".into(),
+        ));
+    }
+    let ctx = SeedContext::of(dfg, arch);
+    let options = options_fingerprint(mapper.options);
+    let lower = mii(dfg, arch);
+    let max_ii = mapper.max_ii.unwrap_or(arch.params().max_ii());
+    let infeasible = || MapError::NoValidMapping {
+        kernel: dfg.name().to_string(),
+        arch: arch.name().to_string(),
+        max_ii,
+    };
+    let (start, floored) = match plan_ladder(hint, &ctx, mapper.name, options, lower, max_ii) {
+        LadderPlan::Infeasible => return Err(infeasible()),
+        LadderPlan::Replay(source) => {
+            if let Some(mapping) = source.replay(dfg, arch) {
+                let mut seed = PlacementSeed::capture(dfg, &mapping, arch, options, None);
+                seed.cap_need.clone_from(&source.cap_need);
+                seed.cap_ceil.clone_from(&source.cap_ceil);
+                return Ok(SeededMapping {
+                    mapping,
+                    outcome: SeedOutcome::Replayed,
+                    seed,
+                });
+            }
+            // Corrupt or mismatched seed: the scratch ladder is always sound.
+            (lower, false)
+        }
+        LadderPlan::Ladder { start, floored } => (start, floored),
+    };
+    // The capacity certificate accumulates across the entire ladder (all II
+    // attempts, including failed ones); the adjacency index likewise serves
+    // every attempt.
+    let shared = LadderShared::of(dfg, arch);
+    for ii in start..=max_ii {
+        if let Some(state) = attempt(ii, &shared) {
+            let mapping = state.into_mapping(mapper.name);
+            mapping.validate(dfg, arch)?;
+            let (outcome, cert) = if floored {
+                (SeedOutcome::Floored, None)
+            } else {
+                (
+                    SeedOutcome::Scratch,
+                    mapper.certified.then_some(&*shared.cert),
+                )
+            };
+            return Ok(SeededMapping {
+                seed: PlacementSeed::capture(dfg, &mapping, arch, options, cert),
+                mapping,
+                outcome,
+            });
+        }
+    }
+    Err(infeasible())
+}
+
 /// The ladder decision derived from a hint before any II attempt runs.
 #[derive(Debug)]
-pub(crate) enum LadderPlan<'a> {
+enum LadderPlan<'a> {
     /// The hint proves no II within `max_ii` can succeed.
     Infeasible,
     /// The seed replays exactly; no search needed.
     Replay(&'a PlacementSeed),
-    /// Run the ladder from `start` (>= mii), optionally warm-starting each
-    /// attempt from a translated seed placement.
-    Ladder {
-        start: u32,
-        warm: Option<&'a PlacementSeed>,
-        floored: bool,
-    },
+    /// Run the ladder from `start` (>= mii); `floored` when a proven
+    /// prefix raised it.
+    Ladder { start: u32, floored: bool },
 }
 
 /// Everything about the target fabric a ladder plan needs to decide seed
 /// eligibility.
 #[derive(Debug)]
-pub(crate) struct SeedContext {
-    pub dfg: u64,
-    pub fabric: u64,
-    pub nocap: u64,
-    pub capacities: Vec<u32>,
+struct SeedContext {
+    dfg: u64,
+    fabric: u64,
+    nocap: u64,
+    capacities: Vec<u32>,
 }
 
 impl SeedContext {
-    pub fn of(dfg: &Dfg, arch: &Architecture) -> Self {
+    fn of(dfg: &Dfg, arch: &Architecture) -> Self {
         SeedContext {
             dfg: dfg_fingerprint(dfg),
             fabric: fabric_signature(arch),
@@ -508,15 +555,13 @@ impl SeedContext {
 /// Soundness: every tier first requires the hint's DFG fingerprint to match
 /// the graph being mapped — results and proofs do not translate across
 /// workloads, and a mismatched hint is ignored rather than trusted. `Replay`
-/// is only produced for a canonical seed of the same
-/// mapper and options whose run provably reproduces on the target fabric —
-/// identical full signature, or identical no-capacity signature with every
-/// switch capacity inside the seed's certified window. The raised ladder
-/// `start` requires an infeasibility proof anchored to the target's full
-/// signature. Exact-mode sweeps therefore reproduce cold results
-/// bit-for-bit; anything weaker is demoted to a heuristic warm start (and
-/// only when the hint allows it).
-pub(crate) fn plan_ladder<'a>(
+/// is only produced for a canonical seed of the same mapper and options
+/// whose run provably reproduces on the target fabric — identical full
+/// signature, or identical no-capacity signature with every switch capacity
+/// inside the seed's certified window. The raised ladder `start` requires an
+/// infeasibility proof anchored to the target's full signature. Anything
+/// weaker is ignored.
+fn plan_ladder<'a>(
     hint: Option<&'a MapSeed>,
     ctx: &SeedContext,
     mapper: &str,
@@ -524,15 +569,11 @@ pub(crate) fn plan_ladder<'a>(
     mii: u32,
     max_ii: u32,
 ) -> LadderPlan<'a> {
-    let Some(hint) = hint else {
-        return LadderPlan::Ladder {
-            start: mii,
-            warm: None,
-            floored: false,
-        };
-    };
     let mut start = mii;
     let mut floored = false;
+    let Some(hint) = hint else {
+        return LadderPlan::Ladder { start, floored };
+    };
     if let Some(prefix) = &hint.infeasible {
         if prefix.dfg == ctx.dfg && prefix.fabric == ctx.fabric && prefix.through_ii >= start {
             if prefix.through_ii >= max_ii {
@@ -542,7 +583,6 @@ pub(crate) fn plan_ladder<'a>(
             floored = true;
         }
     }
-    let mut warm = None;
     if let Some(seed) = &hint.seed {
         let sound = seed.canonical
             && seed.dfg == ctx.dfg
@@ -558,56 +598,17 @@ pub(crate) fn plan_ladder<'a>(
             // the ladder that produced the seed).
             return LadderPlan::Infeasible;
         }
-        if hint.allow_warm {
-            warm = Some(seed);
-        }
     }
-    LadderPlan::Ladder {
-        start,
-        warm,
-        floored,
-    }
+    LadderPlan::Ladder { start, floored }
 }
 
 /// Fingerprint of a mapper's options, via its `Debug` rendering. Stable
 /// within a build, which is all replay needs: seeds produced under different
 /// options must not replay for each other.
-pub(crate) fn options_fingerprint(options: &impl std::fmt::Debug) -> u64 {
+fn options_fingerprint(options: &dyn std::fmt::Debug) -> u64 {
     let mut h = Fnv::new();
     h.bytes(format!("{options:?}").as_bytes());
     h.0
-}
-
-/// Applies a seed's placements to a fresh [`MapState`], translating
-/// functional units by ordinal when the target fabric differs from the
-/// source. Assignments that are infeasible on the target (capability
-/// mismatch, occupied modulo slot) are skipped — the caller completes the
-/// placement greedily. Returns the number of nodes placed.
-pub(crate) fn apply_seed_placement(state: &mut MapState<'_>, seed: &PlacementSeed) -> usize {
-    let target_fus: Vec<ResourceId> = state.arch.functional_units().map(|r| r.id).collect();
-    if target_fus.is_empty() {
-        return 0;
-    }
-    let same_fabric = seed.fabric == fabric_signature(state.arch);
-    let node_count = state.dfg.node_count() as u32;
-    let mut placed = 0;
-    for p in &seed.placements {
-        if p.node >= node_count {
-            continue;
-        }
-        let node = NodeId(p.node);
-        let fu = if same_fabric {
-            ResourceId(p.fu)
-        } else {
-            target_fus[p.fu_ordinal as usize % target_fus.len()]
-        };
-        let cycle = p.cycle % (state.ii * 2).max(1);
-        if state.can_place(node, fu, cycle) {
-            state.place(node, fu, cycle);
-            placed += 1;
-        }
-    }
-    placed
 }
 
 #[cfg(test)]
@@ -618,7 +619,7 @@ mod tests {
     use plaid_dfg::lower::{lower_kernel, LoweringOptions};
     use plaid_dfg::Op;
 
-    use crate::pathfinder::PathFinderMapper;
+    use crate::pathfinder::{PathFinderMapper, PathFinderOptions};
     use crate::Mapper;
 
     fn small_dfg() -> Dfg {
@@ -638,6 +639,38 @@ mod tests {
             .build()
             .unwrap();
         lower_kernel(&kernel, &LoweringOptions::default()).unwrap()
+    }
+
+    /// A PathFinder seed of `small_dfg` on a 4x4 spatio-temporal fabric,
+    /// captured under the default options, plus the fabric's context.
+    fn pathfinder_seed() -> (Dfg, Architecture, PlacementSeed, u64) {
+        let dfg = small_dfg();
+        let arch = spatio_temporal::build(4, 4);
+        let mapping = PathFinderMapper::default().map(&dfg, &arch).unwrap();
+        let options = options_fingerprint(&PathFinderOptions::default());
+        let seed = PlacementSeed::capture(&dfg, &mapping, &arch, options, None);
+        (dfg, arch, seed, options)
+    }
+
+    fn hint(seed: &PlacementSeed) -> MapSeed {
+        MapSeed {
+            seed: Some(seed.clone()),
+            infeasible: None,
+        }
+    }
+
+    /// Whether `plan_ladder` replays the hint's seed for `mapper`/`options`
+    /// on `arch` (a plain ladder from `mii` otherwise).
+    fn replays(hint: &MapSeed, arch: &Architecture, mapper: &str, options: u64) -> bool {
+        let ctx = SeedContext::of(&small_dfg(), arch);
+        match plan_ladder(Some(hint), &ctx, mapper, options, 2, 16) {
+            LadderPlan::Replay(_) => true,
+            LadderPlan::Ladder { start, floored } => {
+                assert_eq!((start, floored), (2, false), "a seed never floors");
+                false
+            }
+            LadderPlan::Infeasible => panic!("a seed within the II bound never fast-fails"),
+        }
     }
 
     #[test]
@@ -671,12 +704,11 @@ mod tests {
 
     #[test]
     fn capture_replay_round_trip() {
-        let dfg = small_dfg();
-        let arch = spatio_temporal::build(4, 4);
+        let (dfg, arch, seed, options) = pathfinder_seed();
         let mapping = PathFinderMapper::default().map(&dfg, &arch).unwrap();
-        let seed = PlacementSeed::capture(&dfg, &mapping, &arch, 7, true);
         assert_eq!(seed.ii, mapping.ii);
-        assert!(seed.replay_eligible(fabric_signature(&arch), "pathfinder", 7));
+        assert!(seed.canonical);
+        assert!(replays(&hint(&seed), &arch, "pathfinder", options));
         let replayed = seed.replay(&dfg, &arch).expect("seed replays");
         assert_eq!(replayed.ii, mapping.ii);
         assert_eq!(replayed.placements, mapping.placements);
@@ -684,15 +716,21 @@ mod tests {
     }
 
     #[test]
-    fn replay_rejects_wrong_fabric_and_options() {
-        let dfg = small_dfg();
-        let arch = spatio_temporal::build(4, 4);
-        let mapping = PathFinderMapper::default().map(&dfg, &arch).unwrap();
-        let seed = PlacementSeed::capture(&dfg, &mapping, &arch, 7, true);
+    fn replay_rejects_wrong_fabric_mapper_options_and_dfg() {
+        let (dfg, arch, seed, options) = pathfinder_seed();
         let other = spatio_temporal::build(3, 3);
-        assert!(!seed.replay_eligible(fabric_signature(&other), "pathfinder", 7));
-        assert!(!seed.replay_eligible(fabric_signature(&arch), "sa", 7));
-        assert!(!seed.replay_eligible(fabric_signature(&arch), "pathfinder", 8));
+        let hint = hint(&seed);
+        assert!(!replays(&hint, &other, "pathfinder", options));
+        assert!(!replays(&hint, &arch, "sa", options));
+        assert!(!replays(&hint, &arch, "pathfinder", options ^ 1));
+        let mut foreign_dfg = seed.clone();
+        foreign_dfg.dfg ^= 1;
+        assert!(!replays(
+            &self::hint(&foreign_dfg),
+            &arch,
+            "pathfinder",
+            options
+        ));
         // Validation also refuses to materialize the seed on the wrong
         // fabric (resource ids out of range or links missing).
         assert!(seed.replay(&dfg, &other).is_none());
@@ -700,11 +738,9 @@ mod tests {
 
     #[test]
     fn non_canonical_seeds_never_replay() {
-        let dfg = small_dfg();
-        let arch = spatio_temporal::build(4, 4);
-        let mapping = PathFinderMapper::default().map(&dfg, &arch).unwrap();
-        let seed = PlacementSeed::capture(&dfg, &mapping, &arch, 7, false);
-        assert!(!seed.replay_eligible(fabric_signature(&arch), "pathfinder", 7));
+        let (_, arch, mut seed, options) = pathfinder_seed();
+        seed.canonical = false;
+        assert!(!replays(&hint(&seed), &arch, "pathfinder", options));
     }
 
     #[test]
@@ -723,10 +759,9 @@ mod tests {
                 fabric,
                 through_ii: 8,
             }),
-            allow_warm: false,
         };
         match plan_ladder(Some(&hint), &ctx(fabric), "sa", 0, 2, 16) {
-            LadderPlan::Ladder { start, floored, .. } => {
+            LadderPlan::Ladder { start, floored } => {
                 assert_eq!(start, 9);
                 assert!(floored);
             }
@@ -738,7 +773,7 @@ mod tests {
         ));
         // A prefix proved on a different fabric is ignored.
         match plan_ladder(Some(&hint), &ctx(fabric + 1), "sa", 0, 2, 8) {
-            LadderPlan::Ladder { start, floored, .. } => {
+            LadderPlan::Ladder { start, floored } => {
                 assert_eq!(start, 2);
                 assert!(!floored);
             }
@@ -753,7 +788,7 @@ mod tests {
             capacities: Vec::new(),
         };
         match plan_ladder(Some(&hint), &other_dfg, "sa", 0, 2, 8) {
-            LadderPlan::Ladder { start, floored, .. } => {
+            LadderPlan::Ladder { start, floored } => {
                 assert_eq!(start, 2);
                 assert!(!floored);
             }
@@ -763,13 +798,11 @@ mod tests {
 
     #[test]
     fn capacity_certificates_gate_cross_capacity_transfer() {
-        use crate::state::CapacityCert;
-        let dfg = small_dfg();
-        let arch = spatio_temporal::build(4, 4);
+        let (dfg, arch, bare, _) = pathfinder_seed();
         let mapping = PathFinderMapper::default().map(&dfg, &arch).unwrap();
         let n = arch.resources().len();
         let cert = CapacityCert::new(n);
-        let seed = PlacementSeed::capture_with_cert(&dfg, &mapping, &arch, 1, true, Some(&cert));
+        let seed = PlacementSeed::capture(&dfg, &mapping, &arch, 1, Some(&cert));
         let nocap = fabric_signature_nocap(&arch);
         // Same full signature always transfers.
         assert!(seed.transfers_to(fabric_signature(&arch), nocap, &vec![4; n]));
@@ -779,17 +812,13 @@ mod tests {
         // Wrong no-capacity signature never transfers.
         assert!(!seed.transfers_to(0, nocap ^ 1, &vec![1; n]));
         // A seed without a certificate only transfers on exact signature.
-        let bare = PlacementSeed::capture(&dfg, &mapping, &arch, 1, true);
         assert!(bare.transfers_to(fabric_signature(&arch), nocap, &vec![4; n]));
         assert!(!bare.transfers_to(0, nocap, &vec![4; n]));
     }
 
     #[test]
     fn seed_json_round_trip() {
-        let dfg = small_dfg();
-        let arch = spatio_temporal::build(4, 4);
-        let mapping = PathFinderMapper::default().map(&dfg, &arch).unwrap();
-        let seed = PlacementSeed::capture(&dfg, &mapping, &arch, 1, true);
+        let (_, _, seed, _) = pathfinder_seed();
         let json = serde_json::to_string(&seed).unwrap();
         let back: PlacementSeed = serde_json::from_str(&json).unwrap();
         assert_eq!(back, seed);

@@ -270,15 +270,28 @@ impl<'a> MapState<'a> {
         }
     }
 
-    /// Required arrival cycle of an edge given its endpoints' placements.
-    fn arrival_cycle(&self, edge: &DfgEdge) -> Option<(u32, u32)> {
-        let src = self.placements.get(&edge.src)?;
-        let dst = self.placements.get(&edge.dst)?;
-        let arrival = match edge.kind {
+    /// The request routing `edge` issues with its producer at `src` and its
+    /// consumer at `dst` (recurrence arrivals shifted by `distance × II`).
+    fn request_between(&self, edge: &DfgEdge, src: Placement, dst: Placement) -> RouteRequest {
+        let arrival_cycle = match edge.kind {
             EdgeKind::Data => dst.cycle,
             EdgeKind::Recurrence { distance } => dst.cycle + distance * self.ii,
         };
-        Some((src.cycle, arrival))
+        RouteRequest {
+            src_fu: src.fu,
+            src_cycle: src.cycle,
+            dst_fu: dst.fu,
+            arrival_cycle,
+            value: edge.src,
+        }
+    }
+
+    /// The request routing `edge` issues under the current placements, if
+    /// both of its endpoints are placed.
+    fn request(&self, edge: &DfgEdge) -> Option<RouteRequest> {
+        let src = *self.placements.get(&edge.src)?;
+        let dst = *self.placements.get(&edge.dst)?;
+        Some(self.request_between(edge, src, dst))
     }
 
     /// Attempts to route `edge` under `policy`. Returns `true` on success.
@@ -291,19 +304,8 @@ impl<'a> MapState<'a> {
         if self.routes.contains_key(&edge) {
             return true;
         }
-        let (Some(src), Some(dst)) = (self.placements.get(&e.src), self.placements.get(&e.dst))
-        else {
+        let Some(request) = self.request(e) else {
             return false;
-        };
-        let Some((_, arrival)) = self.arrival_cycle(e) else {
-            return false;
-        };
-        let request = RouteRequest {
-            src_fu: src.fu,
-            src_cycle: src.cycle,
-            dst_fu: dst.fu,
-            arrival_cycle: arrival,
-            value: e.src,
         };
         match find_route_in(&mut self.scratch, self.arch, &self.state, &request, policy) {
             Some((route, _)) => {
@@ -317,6 +319,78 @@ impl<'a> MapState<'a> {
             }
             None => false,
         }
+    }
+
+    /// Whether routing `edges` one by one with [`Self::route_edge`] might
+    /// succeed. `false` proves that some edge the loop would route — a
+    /// data-carrying, not yet routed edge with both endpoints placed — fails
+    /// whatever the others do, so a placement site can reject its candidate
+    /// before routing (and rolling back) any of them. Two checks, in order:
+    ///
+    /// * **Structural**, on every such edge: the arrival is after the
+    ///   departure and [`RouterScratch::structurally_routable`] holds. This
+    ///   reads no occupancy, so it holds or fails identically at any point
+    ///   of the loop.
+    /// * **Departure**, [`RouterScratch::departs`]: some switch out-link of
+    ///   the source admits the edge's value at its departure slot — exactly
+    ///   the seeding step of [`find_route_in`], so a failure means the
+    ///   search would return `None`. Routing the candidate's *other* edges
+    ///   only adds occupancy of *their* values, which can turn an admission
+    ///   into a refusal but never the reverse: [`HardCapacityCost`] refuses
+    ///   exactly when a cell is full of other values, and [`NegotiatedCost`]
+    ///   never refuses. So an edge blocked now is still blocked when the
+    ///   loop reaches it, and rejecting early changes no result.
+    ///
+    /// The exception is an edge whose value another edge of `edges` also
+    /// carries (a fan-out, or two operands from one producer): routing that
+    /// sibling first may put the value into the very cell this edge departs
+    /// through, where it shares the slot for free. Such edges skip the
+    /// departure check.
+    ///
+    /// Every capacity read goes through [`RoutingState::admission`], so the
+    /// capacity certificate records each answer a decision here depends on
+    /// and stays sound. Its observations differ from those of routing and
+    /// rolling back: usually fewer, though a departure check may read a
+    /// cell the loop would never have reached.
+    ///
+    /// [`HardCapacityCost`]: crate::route::HardCapacityCost
+    /// [`NegotiatedCost`]: crate::route::NegotiatedCost
+    /// [`RoutingState::admission`]: crate::state::RoutingState::admission
+    pub fn route_precheck(&mut self, edges: &[EdgeId], policy: &impl CostPolicy) -> bool {
+        for &e in edges {
+            if let Some(request) = self.pending_request(e) {
+                if !self.scratch.structurally_routable(self.arch, &request) {
+                    return false;
+                }
+            }
+        }
+        for &e in edges {
+            let Some(request) = self.pending_request(e) else {
+                continue;
+            };
+            let shares_value = edges
+                .iter()
+                .any(|&other| other != e && self.dfg.edge(other).src == request.value);
+            if !shares_value
+                && !self
+                    .scratch
+                    .departs(self.arch, &self.state, &request, policy)
+            {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The request [`Self::route_edge`] would search for `edge` now, or
+    /// `None` if it would not search (ordering-only, already routed, or an
+    /// endpoint unplaced).
+    fn pending_request(&self, edge: EdgeId) -> Option<RouteRequest> {
+        let e = self.dfg.edge(edge);
+        if !self.dfg.edge_carries_data(e) || self.routes.contains_key(&edge) {
+            return None;
+        }
+        self.request(e)
     }
 
     /// Routes every currently unrouted data-carrying edge whose endpoints are
@@ -342,10 +416,9 @@ impl<'a> MapState<'a> {
     /// placed (consumer strictly after producer, recurrences shifted by
     /// `distance × II`).
     pub fn timing_ok(&self) -> bool {
-        self.dfg.edges().all(|e| match self.arrival_cycle(e) {
-            Some((src_cycle, arrival)) => arrival > src_cycle,
-            None => true,
-        })
+        self.dfg
+            .edges()
+            .all(|e| self.request(e).is_none_or(|r| r.budget().is_some()))
     }
 
     /// Scalar quality: lower is better. Unrouted edges dominate, then total
@@ -412,44 +485,27 @@ impl<'a> MapState<'a> {
     /// exact-time reachability table has no live cell. Placement heuristics
     /// use this to skip provably dead `(fu, cycle)` candidates.
     pub fn incident_edges_reachable(&mut self, node: NodeId, fu: ResourceId, cycle: u32) -> bool {
+        let here = Placement { fu, cycle };
         let adj = Arc::clone(&self.adj);
-        for &e in adj.ins(node) {
+        for &e in adj.incident(node) {
             let edge = self.dfg.edge(e);
             if !self.dfg.edge_carries_data(edge) {
                 continue;
             }
-            let Some(src) = self.placements.get(&edge.src).copied() else {
-                continue;
+            // Edges whose other endpoint is unplaced are skipped (as is a
+            // self-loop of the unplaced `node`).
+            let request = if edge.dst == node {
+                let Some(&src) = self.placements.get(&edge.src) else {
+                    continue;
+                };
+                self.request_between(edge, src, here)
+            } else {
+                let Some(&dst) = self.placements.get(&edge.dst) else {
+                    continue;
+                };
+                self.request_between(edge, here, dst)
             };
-            let arrival = match edge.kind {
-                EdgeKind::Data => cycle,
-                EdgeKind::Recurrence { distance } => cycle + distance * self.ii,
-            };
-            if arrival <= src.cycle
-                || !self
-                    .scratch
-                    .structurally_routable(self.arch, src.fu, fu, arrival - src.cycle)
-            {
-                return false;
-            }
-        }
-        for &e in adj.outs(node) {
-            let edge = self.dfg.edge(e);
-            if !self.dfg.edge_carries_data(edge) {
-                continue;
-            }
-            let Some(dst) = self.placements.get(&edge.dst).copied() else {
-                continue;
-            };
-            let arrival = match edge.kind {
-                EdgeKind::Data => dst.cycle,
-                EdgeKind::Recurrence { distance } => dst.cycle + distance * self.ii,
-            };
-            if arrival <= cycle
-                || !self
-                    .scratch
-                    .structurally_routable(self.arch, fu, dst.fu, arrival - cycle)
-            {
+            if !self.scratch.structurally_routable(self.arch, &request) {
                 return false;
             }
         }
@@ -501,17 +557,14 @@ pub fn place_node_best_effort(
                 continue;
             }
             state.place(node, fu, cycle);
-            // Route the incoming data edges from already-placed producers.
-            let mut ok = true;
-            for &e in adj.ins(node) {
-                if !state.placements.contains_key(&state.dfg.edge(e).src) {
-                    continue;
-                }
-                if !state.route_edge(e, policy) {
-                    ok = false;
-                    break;
-                }
-            }
+            // Route the incoming data edges from already-placed producers,
+            // unless one of them provably cannot be routed.
+            let ins = adj.ins(node);
+            let ok = state.route_precheck(ins, policy)
+                && ins.iter().all(|&e| {
+                    !state.placements.contains_key(&state.dfg.edge(e).src)
+                        || state.route_edge(e, policy)
+                });
             if ok {
                 return true;
             }

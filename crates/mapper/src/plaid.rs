@@ -113,21 +113,21 @@ impl PlaidMapper {
             .collect();
         incident.sort_unstable();
         incident.dedup();
-        for e in incident {
-            let edge = state.dfg.edge(e);
-            if !state.placements.contains_key(&edge.src)
-                || !state.placements.contains_key(&edge.dst)
-            {
-                continue;
-            }
-            if !state.route_edge(e, &HardCapacityCost) {
-                for &n in &placed {
-                    state.unplace(n);
-                }
-                return false;
+        // Reject the candidate before routing any edge if one provably
+        // cannot be routed; otherwise route them in order.
+        let routed = state.route_precheck(&incident, &HardCapacityCost)
+            && incident.iter().all(|&e| {
+                let edge = state.dfg.edge(e);
+                !state.placements.contains_key(&edge.src)
+                    || !state.placements.contains_key(&edge.dst)
+                    || state.route_edge(e, &HardCapacityCost)
+            });
+        if !routed {
+            for &n in &placed {
+                state.unplace(n);
             }
         }
-        true
+        routed
     }
 
     /// Earliest start cycle for a motif under a specific template, respecting

@@ -40,6 +40,16 @@ pub struct RouteRequest {
     pub value: NodeId,
 }
 
+impl RouteRequest {
+    /// Cycles the route must take, or `None` when the arrival is not after
+    /// the departure (no route can exist).
+    pub fn budget(&self) -> Option<u32> {
+        self.arrival_cycle
+            .checked_sub(self.src_cycle)
+            .filter(|&b| b > 0)
+    }
+}
+
 /// Per-hop cost policy.
 pub trait CostPolicy {
     /// Cost of occupying `(resource, slot)` with `value`, or `None` if the
@@ -202,25 +212,20 @@ impl RouterScratch {
         Self::default()
     }
 
-    /// Whether a switch-only path of *exactly* `budget` cycles exists from
-    /// `src_fu` to `dst_fu`, ignoring occupancy — the structural
-    /// prerequisite for any route of that edge. Answered from the cached
-    /// per-destination exact-time reachability table, so repeated queries
-    /// against one fabric are table lookups. Used by the placement layer to
-    /// skip candidate slots whose incident edges provably cannot be routed.
-    pub fn structurally_routable(
-        &mut self,
-        arch: &Architecture,
-        src_fu: ResourceId,
-        dst_fu: ResourceId,
-        budget: u32,
-    ) -> bool {
-        if budget == 0 {
+    /// Whether a switch-only path of *exactly* the request's budget exists
+    /// from its source FU to its destination FU, ignoring occupancy — the
+    /// structural prerequisite for any route of that edge. A non-positive
+    /// budget has none. Answered from the cached per-destination exact-time
+    /// reachability table, so repeated queries against one fabric are table
+    /// lookups. Used by the placement layer to skip candidate slots whose
+    /// incident edges provably cannot be routed.
+    pub fn structurally_routable(&mut self, arch: &Architecture, request: &RouteRequest) -> bool {
+        let Some(budget) = request.budget() else {
             return false;
-        }
-        let reach = self.reach.table(arch, dst_fu, budget);
-        arch.out_links(src_fu).any(|link| {
-            if link.to == dst_fu {
+        };
+        let reach = self.reach.table(arch, request.dst_fu, budget);
+        arch.out_links(request.src_fu).any(|link| {
+            if link.to == request.dst_fu {
                 // Direct FU-to-FU links do not exist on the modelled
                 // fabrics, but handle them soundly anyway.
                 return link.latency == budget;
@@ -230,6 +235,28 @@ impl RouterScratch {
             }
             link.latency <= budget && reach.alive(link.to.0, budget - link.latency)
         })
+    }
+
+    /// Whether a route of `request` can leave its source FU under `policy`
+    /// right now: some switch out-link of the source is reach-alive and
+    /// admits the value at its departure slot. This is exactly the seeding
+    /// step of [`find_route_in`] (both run one private `departures`), so a
+    /// `false` answer means [`find_route_in`] would return `None` on the
+    /// same state. Stops at the first admitted departure.
+    pub fn departs(
+        &mut self,
+        arch: &Architecture,
+        state: &RoutingState,
+        request: &RouteRequest,
+        policy: &impl CostPolicy,
+    ) -> bool {
+        let Some(budget) = request.budget() else {
+            return false;
+        };
+        let reach = self.reach.table(arch, request.dst_fu, budget);
+        departures(arch, state, reach, request, budget, policy)
+            .next()
+            .is_some()
     }
 }
 
@@ -395,6 +422,37 @@ impl ReachCache {
     }
 }
 
+/// The seeding step of a search: every switch a route of `request` can enter
+/// straight from its source FU, as `(resource, elapsed, hop cost)`. A
+/// departure is offered only when its cell is reach-alive for the request's
+/// destination and `policy` admits the value there at a finite cost; other
+/// FUs are never vias (a route may only end at the destination FU, which the
+/// search handles at pop time). Shared by [`find_route_in`] and
+/// [`RouterScratch::departs`], so the pre-check and the search cannot drift.
+fn departures<'q>(
+    arch: &'q Architecture,
+    state: &'q RoutingState,
+    reach: &'q ReachTable,
+    request: &'q RouteRequest,
+    budget: u32,
+    policy: &'q impl CostPolicy,
+) -> impl Iterator<Item = (u32, u32, f64)> + 'q {
+    arch.out_links(request.src_fu).filter_map(move |link| {
+        if arch.resource(link.to).kind.is_func_unit() {
+            return None;
+        }
+        let elapsed = link.latency;
+        if elapsed > budget || !reach.alive(link.to.0, budget - elapsed) {
+            return None;
+        }
+        let slot = state.slot(request.src_cycle + elapsed);
+        let cost = policy
+            .hop_cost(state, link.to, slot, request.value)
+            .and_then(finite_or_reject)?;
+        Some((link.to.0, elapsed, cost))
+    })
+}
+
 /// Finds the cheapest route satisfying `request`, or `None` if no route exists
 /// under the given cost policy.
 ///
@@ -430,10 +488,7 @@ pub fn find_route_in(
     request: &RouteRequest,
     policy: &impl CostPolicy,
 ) -> Option<(Route, f64)> {
-    if request.arrival_cycle <= request.src_cycle {
-        return None;
-    }
-    let budget = request.arrival_cycle - request.src_cycle;
+    let budget = request.budget()?;
     let n = arch.resources().len();
     let width = (budget + 1) as usize;
     let index = |r: u32, e: u32| r as usize * width + e as usize;
@@ -445,29 +500,13 @@ pub fn find_route_in(
     core.begin(n * width);
 
     // Seed: leave the source FU along each outgoing link.
-    for link in arch.out_links(request.src_fu) {
-        if arch.resource(link.to).kind.is_func_unit() {
-            // A route may only end at the destination FU, and entering it is
-            // handled at pop time below; other FUs are not usable as vias.
-            continue;
-        }
-        let elapsed = link.latency;
-        if elapsed > budget || !reach.alive(link.to.0, budget - elapsed) {
-            continue;
-        }
-        let slot = state.slot(request.src_cycle + elapsed);
-        let Some(cost) = policy
-            .hop_cost(state, link.to, slot, request.value)
-            .and_then(finite_or_reject)
-        else {
-            continue;
-        };
-        let idx = index(link.to.0, elapsed);
+    for (resource, elapsed, cost) in departures(arch, state, reach, request, budget, policy) {
+        let idx = index(resource, elapsed);
         if cost < core.best(idx) {
             core.set(idx, cost, NO_PARENT);
             core.heap.push(QueueEntry {
                 cost,
-                resource: link.to.0,
+                resource,
                 elapsed,
             });
         }
@@ -788,12 +827,14 @@ mod tests {
         } else {
             assert_eq!(result.unwrap(), None, "NaN hops are filtered");
         }
-        // A budget that can avoid slot 0 still routes.
+        // A window that avoids slot 0 still routes: the first hop (the
+        // router, entered at elapsed 0) lies in the departure slot, so the
+        // departure must not be at a multiple of the II.
         let request = RouteRequest {
             src_fu: fu0,
-            src_cycle: 0,
+            src_cycle: 1,
             dst_fu: fu1,
-            arrival_cycle: 2,
+            arrival_cycle: 3,
             value: NodeId(0),
         };
         let routed = std::panic::catch_unwind(|| {

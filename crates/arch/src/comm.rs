@@ -488,11 +488,8 @@ impl CommSpec {
     }
 
     /// Canonical *scheduling* order of the communication axis, used by
-    /// sweep grouping (`run_sweep_with` evaluates each seed family in this
-    /// order). Its metric counterpart — "how far apart are two specs" — is
-    /// [`CommSpec::distance`]; the two are deliberately different: the best
-    /// spec to evaluate *first* (aligned, whose capacity certificates
-    /// transfer furthest) is not in the middle of the proximity scale.
+    /// sweep grouping (`run_sweep_with` evaluates each seed group in this
+    /// order within a configuration depth).
     ///
     /// The as-published `Aligned` preset comes first (its capacity
     /// certificates transfer to both the lean and rich variants when
@@ -517,31 +514,6 @@ impl CommSpec {
                 SelectPolicy::Proportional => 0,
                 SelectPolicy::Fixed => 1,
             })
-    }
-
-    /// Canonical *proximity* of two communication specs, used by the
-    /// seed-store provisioning distance: how different the fabrics (and
-    /// hence their good placements) are expected to be.
-    ///
-    /// Bandwidth proximity is the summed *per-group* [`BwClass::rank`]
-    /// difference — each group compared on its own, so an asymmetric
-    /// half/boost allocation is never distance 0 from the uniform base
-    /// allocation — which on the uniform presets makes `aligned` nearer to
-    /// `rich` than `lean` is, matching the scalar-era metric exactly (one
-    /// preset step = 2 units). A topology mismatch adds a large constant
-    /// (the link structures differ, so mappings do not translate) and a
-    /// select-policy mismatch a small one (cost-only difference).
-    pub fn distance(self, other: CommSpec) -> u32 {
-        let group = |a: BwClass, b: BwClass| a.rank().abs_diff(b.rank());
-        let bw = group(self.link_bw.local, other.link_bw.local)
-            + group(self.link_bw.global, other.link_bw.global);
-        let topology = if self.topology == other.topology {
-            0
-        } else {
-            24
-        };
-        let select = u32::from(self.select_policy != other.select_policy);
-        bw.saturating_add(topology).saturating_add(select)
     }
 
     /// The structural family of this spec: bandwidth and select policy
@@ -738,50 +710,6 @@ mod tests {
         ranks.sort_unstable();
         ranks.dedup();
         assert_eq!(ranks.len(), len, "order ranks collide");
-    }
-
-    #[test]
-    fn distance_is_a_bandwidth_proximity_metric() {
-        // On the presets, one step = 2 units — the scalar-era metric:
-        // aligned is *nearer* to rich than lean is (the scheduling order
-        // aligned < lean < rich must not leak into proximity).
-        assert_eq!(CommSpec::ALIGNED.distance(CommSpec::ALIGNED), 0);
-        assert_eq!(CommSpec::LEAN.distance(CommSpec::ALIGNED), 2);
-        assert_eq!(CommSpec::ALIGNED.distance(CommSpec::RICH), 2);
-        assert_eq!(CommSpec::LEAN.distance(CommSpec::RICH), 4);
-        assert!(
-            CommSpec::ALIGNED.distance(CommSpec::RICH) < CommSpec::LEAN.distance(CommSpec::RICH)
-        );
-        // Symmetric.
-        assert_eq!(
-            CommSpec::LEAN.distance(CommSpec::RICH),
-            CommSpec::RICH.distance(CommSpec::LEAN)
-        );
-        // A topology mismatch dominates any bandwidth difference.
-        let torus = CommSpec::uniform(Topology::Torus, BwClass::Base);
-        assert!(CommSpec::ALIGNED.distance(torus) > CommSpec::LEAN.distance(CommSpec::RICH));
-        // Same-topology bandwidth siblings stay near across topologies.
-        let torus_half = CommSpec::uniform(Topology::Torus, BwClass::Half);
-        assert_eq!(torus.distance(torus_half), 2);
-        // Per-group comparison: an asymmetric half/boost allocation is NOT
-        // distance 0 from the uniform base one (their rank *sums* tie).
-        let skewed = CommSpec {
-            topology: Topology::Mesh,
-            link_bw: LinkBw {
-                local: BwClass::Half,
-                global: BwClass::Boost,
-            },
-            select_policy: SelectPolicy::Proportional,
-        };
-        assert_eq!(CommSpec::ALIGNED.distance(skewed), 2);
-        let mirrored = CommSpec {
-            link_bw: LinkBw {
-                local: BwClass::Boost,
-                global: BwClass::Half,
-            },
-            ..skewed
-        };
-        assert_eq!(skewed.distance(mirrored), 4);
     }
 
     #[test]

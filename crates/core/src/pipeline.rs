@@ -6,11 +6,10 @@ use std::fmt;
 use plaid_arch::{plaid, spatial, spatio_temporal, specialize, Architecture};
 use plaid_dfg::Dfg;
 pub use plaid_mapper::{
-    dfg_fingerprint, fabric_signature, fabric_signature_nocap, InfeasiblePrefix, MapSeed,
-    PlacementSeed, SeedOutcome, SeededMapping,
+    InfeasiblePrefix, MapError, MapSeed, PlacementSeed, SeedOutcome, SeededMapping,
 };
 use plaid_mapper::{
-    MapError, Mapping, PathFinderMapper, PlaidMapper, SaMapper, SpatialMapper, SpatialSchedule,
+    Mapping, PathFinderMapper, PlaidMapper, SaMapper, SpatialMapper, SpatialSchedule,
 };
 use plaid_motif::{coverage, identify_motifs, CoverageStats, IdentifyOptions};
 use plaid_sim::config::{generate_config, ConfigImage};
@@ -224,8 +223,9 @@ pub fn compile_workload_on(
 /// replays exactly, and a proven-infeasible ladder prefix is skipped. Any
 /// other hint is ignored, so the result equals the unseeded one. The produced
 /// [`CompiledWorkload`] carries its own [`PlacementSeed`] (via
-/// [`CompiledWorkload::summary`]) so sweeps can chain seeds across
-/// neighbouring design points.
+/// [`CompiledWorkload::summary`]), and a failed ladder's
+/// [`MapError::NoValidMapping`] its [`InfeasiblePrefix`], so sweeps can
+/// chain both across neighbouring design points.
 ///
 /// # Errors
 ///

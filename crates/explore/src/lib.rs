@@ -62,7 +62,7 @@ pub mod sweep;
 pub use cache::{cache_key, cache_key_hash, ResultCache};
 pub use pareto::{pareto_indices, FrontierReport, Objectives, WorkloadFrontier};
 pub use record::EvalRecord;
-pub use seed::{provisioning_distance, SeedFamily, SeedPolicy, SeedStore};
+pub use seed::SeedPolicy;
 pub use shard::{
     merge_outcomes, partition_plan, run_sweep_sharded, shard_of, shard_plan, ShardSpec,
 };

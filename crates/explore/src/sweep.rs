@@ -5,12 +5,19 @@
 //! overridden). [`run_sweep`] evaluates the plan in parallel with `rayon`,
 //! consulting the [`ResultCache`] before every compilation so overlapping or
 //! repeated sweeps only pay for points they have never seen.
+//!
+//! Warm starts need no shared state: each seed group (points differing only
+//! in configuration depth and communication provisioning) runs on one
+//! thread, and its loop keeps the placement seeds and infeasibility proofs
+//! its earlier points produced, passing them to the mapper as the hint.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use plaid::pipeline::{compile_workload_on, compile_workload_on_seeded, MapperChoice, SeedOutcome};
+use plaid::pipeline::{
+    compile_workload_on, compile_workload_on_seeded, InfeasiblePrefix, MapError, MapSeed,
+    MapperChoice, PipelineError, PlacementSeed, SeedOutcome,
+};
 use plaid_arch::{ArchClass, DesignPoint, SpaceSpec};
 use plaid_workloads::Workload;
 use rayon::prelude::*;
@@ -18,7 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::{cache_key, ResultCache};
 use crate::record::EvalRecord;
-use crate::seed::{SeedFamily, SeedPolicy, SeedStore};
+use crate::seed::SeedPolicy;
 
 /// One evaluatable point: a workload, a provisioning design point and the
 /// mapper that will place the workload onto it.
@@ -100,10 +107,12 @@ pub struct SweepStats {
     pub cache_hits: usize,
     /// Points whose compilation failed (counted within `compiled`).
     pub failures: usize,
-    /// Compiled points that had a warm-start hint available.
+    /// Compiled points whose mapper found a hint candidate matching their
+    /// DFG and fabric ([`plaid::pipeline::SeedOutcome::hinted`]).
     pub seeded: usize,
-    /// Compiled points where seeding demonstrably skipped work: an exact
-    /// replay, a floored (or fully skipped) II ladder.
+    /// Compiled points where the mapper's use of the hint skipped work: an
+    /// exact replay, a floored or a fast-failed II ladder
+    /// ([`plaid::pipeline::SeedOutcome::hit`]).
     pub seed_hits: usize,
     /// Wall-clock time of the pass in milliseconds.
     pub wall_ms: u64,
@@ -150,9 +159,9 @@ pub fn evaluate_point(point: &SweepPoint, cache: &ResultCache) -> EvalRecord {
 /// returning records in plan order.
 ///
 /// Seeding changes the schedule, not the results: points sharing a seed
-/// super-family run sequentially (in depth order) so later points can reuse
+/// group run sequentially (in depth order) so later points can reuse
 /// earlier seeds, and only distinct groups run in parallel. A plan that is
-/// one big family therefore trades per-point parallelism for seed reuse —
+/// one big group therefore trades per-point parallelism for seed reuse —
 /// pass [`SeedPolicy::Off`] to [`run_sweep_with`] to get the flat
 /// fully-parallel evaluation instead.
 ///
@@ -164,75 +173,51 @@ pub fn run_sweep(plan: &SweepPlan, cache: &ResultCache) -> SweepOutcome {
 
 /// Runs the plan in parallel under an explicit warm-start policy.
 ///
-/// Points are grouped by seed *super-family* (workload × class × dimensions
-/// × mapper — the communication and depth axes erased) and each group is
-/// evaluated in ascending depth, aligned-communication-first order, so every
-/// group compiles one ladder cold and derives its siblings from the cached
-/// [`plaid::pipeline::PlacementSeed`]: an exact replay for depth siblings
-/// (identical fabric signature), a capacity-certified replay for
+/// Points are grouped by seed group (workload × class × dimensions ×
+/// topology × mapper — configuration depth, bandwidth and select policy
+/// erased) and each group is evaluated in ascending depth,
+/// aligned-communication-first order, so every group compiles one ladder
+/// cold and derives its siblings from it: an exact replay for depth
+/// siblings (identical fabric signature), a capacity-certified replay for
 /// communication siblings, and a skipped ladder prefix where a shallower
-/// sibling proved its ladder infeasible. Groups still run in parallel;
-/// records come back in plan order.
+/// sibling proved its ladder infeasible. The mapper decides which of the
+/// group's seeds and proofs apply. Groups still run in parallel; records
+/// come back in plan order.
 pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy) -> SweepOutcome {
     let start = Instant::now();
     cache.reset_counters();
 
     // The cold path stays flat: without seeding there is no reason to
-    // serialize points within a super-family, so every point is an
-    // independent parallel task (and the seed store is never built) — the
-    // `--no-seed` baseline measures exactly the pre-seeding sweep.
-    if policy == SeedPolicy::Off {
+    // serialize points within a group, so every point is an independent
+    // parallel task — the `--seed off` baseline measures exactly the
+    // pre-seeding sweep.
+    let (records, seeded, seed_hits) = if policy == SeedPolicy::Off {
         let records: Vec<EvalRecord> = plan
             .points
             .par_iter()
             .map(|point| evaluate_point(point, cache))
             .collect();
-        let cache_hits = cache.hits() as usize;
-        let failures = records.iter().filter(|r| !r.ok).count();
-        return SweepOutcome {
-            stats: SweepStats {
-                points: records.len(),
-                compiled: records.len() - cache_hits,
-                cache_hits,
-                failures,
-                seeded: 0,
-                seed_hits: 0,
-                wall_ms: start.elapsed().as_millis() as u64,
-            },
-            records,
-        };
-    }
-
-    let store = SeedStore::new();
-    let seeded = AtomicUsize::new(0);
-    let seed_hits = AtomicUsize::new(0);
-
-    let groups = group_points_for_seeding(plan);
-
-    let evaluated: Vec<Vec<(usize, EvalRecord)>> = groups
-        .par_iter()
-        .map(|group| {
-            group
-                .iter()
-                .map(|&i| {
-                    let point = &plan.points[i];
-                    (
-                        i,
-                        evaluate_point_seeded(point, cache, &store, policy, &seeded, &seed_hits),
-                    )
-                })
-                .collect()
-        })
-        .collect();
-
-    let mut slots: Vec<Option<EvalRecord>> = vec![None; plan.len()];
-    for (i, record) in evaluated.into_iter().flatten() {
-        slots[i] = Some(record);
-    }
-    let records: Vec<EvalRecord> = slots
-        .into_iter()
-        .map(|r| r.expect("every plan point evaluated"))
-        .collect();
+        (records, 0, 0)
+    } else {
+        let groups: Vec<GroupOutcome> = group_points_for_seeding(plan)
+            .par_iter()
+            .map(|group| evaluate_group(plan, group, cache))
+            .collect();
+        let mut slots: Vec<Option<EvalRecord>> = vec![None; plan.len()];
+        let (mut seeded, mut seed_hits) = (0, 0);
+        for group in groups {
+            seeded += group.seeded;
+            seed_hits += group.seed_hits;
+            for (i, record) in group.records {
+                slots[i] = Some(record);
+            }
+        }
+        let records = slots
+            .into_iter()
+            .map(|r| r.expect("every plan point evaluated"))
+            .collect();
+        (records, seeded, seed_hits)
+    };
 
     let cache_hits = cache.hits() as usize;
     let failures = records.iter().filter(|r| !r.ok).count();
@@ -242,15 +227,30 @@ pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy)
             compiled: records.len() - cache_hits,
             cache_hits,
             failures,
-            seeded: seeded.load(Ordering::Relaxed),
-            seed_hits: seed_hits.load(Ordering::Relaxed),
+            seeded,
+            seed_hits,
             wall_ms: start.elapsed().as_millis() as u64,
         },
         records,
     }
 }
 
-/// Groups plan indices by seed super-family for a warm-started sweep,
+/// The seed group of a point: its workload, mapper and design point with
+/// configuration depth and communication bandwidth erased
+/// ([`plaid_arch::CommSpec::structural_family`] keeps the topology, since a
+/// torus fabric's links differ from a mesh's and their mappings never
+/// transfer). A group holds exactly the points a capacity-certified seed can
+/// hope to transfer across; all three legacy presets share one.
+fn seed_group(point: &SweepPoint) -> (&str, DesignPoint, MapperChoice) {
+    let design = DesignPoint {
+        config_entries: 0,
+        comm: point.design.comm.structural_family(),
+        ..point.design
+    };
+    (&point.workload.name, design, point.mapper)
+}
+
+/// Groups plan indices by [`seed_group`] for a warm-started sweep,
 /// ordered by first appearance so the grouping is deterministic. Within a
 /// group: ascending depth (the cheap shallow ladder is a prefix of every
 /// deeper one), then the canonical communication scheduling order
@@ -261,11 +261,10 @@ pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy)
 /// grouping used by [`run_sweep_with`] (and pinned by the stable-grouping
 /// test).
 fn group_points_for_seeding(plan: &SweepPlan) -> Vec<Vec<usize>> {
-    let mut group_of: HashMap<SeedFamily, usize> = HashMap::new();
+    let mut group_of = HashMap::new();
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for (i, point) in plan.points.iter().enumerate() {
-        let family = SeedFamily::super_of(point);
-        let g = *group_of.entry(family).or_insert_with(|| {
+        let g = *group_of.entry(seed_group(point)).or_insert_with(|| {
             groups.push(Vec::new());
             groups.len() - 1
         });
@@ -280,67 +279,75 @@ fn group_points_for_seeding(plan: &SweepPlan) -> Vec<Vec<usize>> {
     groups
 }
 
-/// Evaluates one point with warm-start seeding, consulting (and feeding)
-/// both the result cache and the seed store.
-fn evaluate_point_seeded(
-    point: &SweepPoint,
-    cache: &ResultCache,
-    store: &SeedStore,
-    policy: SeedPolicy,
-    seeded: &AtomicUsize,
-    seed_hits: &AtomicUsize,
-) -> EvalRecord {
-    let key = cache_key(point);
-    if let Some(record) = cache.lookup(&key, point) {
-        // Cached successes still feed the store: their seeds warm the rest
-        // of the family (this is how a persisted cache seeds a new grid),
-        // and a replayed seed is re-validated on the target fabric. Cached
-        // *failures* are deliberately not absorbed: an infeasibility floor
-        // is trusted without re-validation, and a cache persisted by an
-        // older mapper could floor points the current mapper can map.
-        store.absorb_seed(point, &record);
-        return record;
-    }
-    let arch = point.design.build();
-    // Hints are stamped with the workload's DFG fingerprint so the mapper
-    // can verify they belong to the graph it is about to place (floors are
-    // keyed by workload name in the store; the mapper re-checks identity).
-    let hint = point.workload.lower().ok().and_then(|dfg| {
-        store.hint_for(point, &arch, plaid::pipeline::dfg_fingerprint(&dfg), policy)
-    });
-    if hint.is_some() {
-        seeded.fetch_add(1, Ordering::Relaxed);
-    }
-    let record =
-        match compile_workload_on_seeded(&point.workload, &arch, point.mapper, hint.as_ref()) {
-            Ok(compiled) => {
-                if matches!(
-                    compiled.seed_outcome,
-                    SeedOutcome::Replayed | SeedOutcome::Floored
-                ) {
-                    seed_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                EvalRecord::succeeded(point, compiled.summary())
-            }
-            Err(e) => {
-                // A failure reached through a floored or fully skipped
-                // ladder also saved work (a canonical sibling seed above
-                // this point's II bound fast-fails the whole ladder).
-                let skipped_work = hint.as_ref().is_some_and(|h| {
-                    h.infeasible.is_some()
-                        || h.seed
-                            .as_ref()
-                            .is_some_and(|s| s.canonical && s.ii > point.design.config_entries)
-                });
-                if skipped_work {
-                    seed_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                EvalRecord::failed(point, e.to_string())
+/// The records of one seed group, tagged with their plan indices, and the
+/// group's share of the seeding counters.
+struct GroupOutcome {
+    records: Vec<(usize, EvalRecord)>,
+    seeded: usize,
+    seed_hits: usize,
+}
+
+/// Evaluates one seed group in order, consulting (and populating) the cache.
+///
+/// The loop owns the group's hint: the placement seed of every success,
+/// fresh or cached, and the infeasibility proof of every fresh failure.
+/// Cached failures add no proof: a proof is trusted without re-validation,
+/// and a cache persisted by an older mapper could otherwise floor points the
+/// current mapper maps. Cached seeds are safe, because the mapper
+/// re-validates a seed on the target fabric before replaying it.
+fn evaluate_group(plan: &SweepPlan, group: &[usize], cache: &ResultCache) -> GroupOutcome {
+    let mut seeds: Vec<PlacementSeed> = Vec::new();
+    let mut proofs: Vec<InfeasiblePrefix> = Vec::new();
+    let mut outcome = GroupOutcome {
+        records: Vec::with_capacity(group.len()),
+        seeded: 0,
+        seed_hits: 0,
+    };
+    for &i in group {
+        let point = &plan.points[i];
+        let key = cache_key(point);
+        let record = match cache.lookup(&key, point) {
+            Some(record) => record,
+            None => {
+                let arch = point.design.build();
+                let hint = MapSeed {
+                    seeds: &seeds,
+                    proofs: &proofs,
+                };
+                let compiled =
+                    compile_workload_on_seeded(&point.workload, &arch, point.mapper, Some(&hint));
+                let (record, used) = match compiled {
+                    Ok(compiled) => (
+                        EvalRecord::succeeded(point, compiled.summary()),
+                        compiled.seed_outcome,
+                    ),
+                    Err(e) => {
+                        // Only a failed ladder reports a proof and how it used
+                        // the hint; other errors count as unhinted.
+                        let used = match &e {
+                            PipelineError::Mapping(MapError::NoValidMapping {
+                                proof,
+                                outcome,
+                                ..
+                            }) => {
+                                proofs.push(*proof);
+                                *outcome
+                            }
+                            _ => SeedOutcome::Scratch,
+                        };
+                        (EvalRecord::failed(point, e.to_string()), used)
+                    }
+                };
+                outcome.seeded += usize::from(used.hinted());
+                outcome.seed_hits += usize::from(used.hit());
+                cache.insert(key, record.clone());
+                record
             }
         };
-    cache.insert(key, record.clone());
-    store.absorb(point, &record);
-    record
+        seeds.extend(record.summary.as_ref().and_then(|s| s.seed.clone()));
+        outcome.records.push((i, record));
+    }
+    outcome
 }
 
 #[cfg(test)]
@@ -410,6 +417,42 @@ mod tests {
         assert_eq!(outcome.stats.points, 3);
         assert_eq!(outcome.stats.compiled, 1);
         assert_eq!(outcome.stats.cache_hits, 2);
+    }
+
+    #[test]
+    fn cached_failures_never_floor_later_points() {
+        // A cache persisted by an older mapper may hold a failure the
+        // current mapper would not reproduce. Its text must not become a
+        // proof: the depth-16 sibling still maps at the cold II.
+        let point = |depth: u32| SweepPoint {
+            workload: find_workload("dwconv").unwrap(),
+            design: DesignPoint {
+                class: ArchClass::SpatioTemporal,
+                rows: 2,
+                cols: 2,
+                config_entries: depth,
+                comm: CommSpec::ALIGNED,
+            },
+            mapper: MapperChoice::PathFinder,
+        };
+        let (p8, p16) = (point(8), point(16));
+        let cold16 = evaluate_point(&p16, &ResultCache::new());
+        assert!(cold16.ok, "dwconv maps on the 2x2 baseline");
+        let cache = ResultCache::new();
+        cache.insert(
+            cache_key(&p8),
+            EvalRecord::failed(
+                &p8,
+                "mapping failed: no valid mapping of dwconv onto spatio-temporal-2x2 up to II=8",
+            ),
+        );
+        let plan = SweepPlan {
+            points: vec![p8, p16],
+        };
+        let outcome = run_sweep_with(&plan, &cache, SeedPolicy::Exact);
+        assert_eq!(outcome.stats.cache_hits, 1);
+        assert_eq!((outcome.stats.seeded, outcome.stats.seed_hits), (0, 0));
+        assert_eq!(outcome.records[1], cold16);
     }
 
     #[test]

@@ -40,7 +40,7 @@ fn four_way_sharded_default_sweep_merges_bit_identically() {
     let whole_frontier = FrontierReport::from_records(&whole.records);
     let whole_frontier_json = serde_json::to_string_pretty(&whole_frontier).unwrap();
 
-    // Four shard runs, each with its own cache file and seed store —
+    // Four shard runs, each with its own cache file and seed groups —
     // exactly what four `plaid-dse --shard i/4` processes would do.
     const SHARDS: u32 = 4;
     let mut shard_outcomes = Vec::new();

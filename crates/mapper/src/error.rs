@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::seed::{InfeasiblePrefix, SeedOutcome};
+
 /// Errors produced while mapping a DFG onto an architecture.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MapError {
@@ -17,6 +19,11 @@ pub enum MapError {
         arch: String,
         /// Highest II attempted.
         max_ii: u32,
+        /// The failure as a proof that later ladders on this fabric may
+        /// start above.
+        proof: InfeasiblePrefix,
+        /// How the seeding hint shaped the failed ladder.
+        outcome: SeedOutcome,
     },
     /// A produced mapping failed validation (indicates a mapper bug).
     InvalidMapping(String),
@@ -30,6 +37,7 @@ impl fmt::Display for MapError {
                 kernel,
                 arch,
                 max_ii,
+                ..
             } => write!(
                 f,
                 "no valid mapping of {kernel} onto {arch} up to II={max_ii}"

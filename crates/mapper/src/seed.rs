@@ -355,9 +355,10 @@ impl PlacementSeed {
     }
 }
 
-/// A proof that every II up to `through_ii` is infeasible for a given fabric
-/// structure, transferred from a failed ladder on a design point with a
-/// shallower configuration memory.
+/// A proof that every II up to `through_ii` is infeasible for one DFG on one
+/// fabric structure. A failed ladder returns it inside
+/// [`MapError::NoValidMapping`]; a later ladder on a fabric with the same
+/// signature (a deeper configuration memory) starts above it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InfeasiblePrefix {
     /// Fingerprint of the DFG the failure was proved on (see
@@ -370,25 +371,53 @@ pub struct InfeasiblePrefix {
 }
 
 /// The seeding hint threaded through `compile_workload_on` into the
-/// mappers: an optional placement seed plus an optional infeasibility proof.
-/// Either is used only when it provably preserves the result.
+/// mappers: what earlier design points left behind, the placement seeds of
+/// their successes and the infeasibility proofs of their failures. The
+/// ladder uses a candidate only when it provably preserves the result and
+/// ignores the rest, so any list is safe to pass.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct MapSeed {
-    /// Placement seed from the nearest cached design point.
-    pub seed: Option<PlacementSeed>,
-    /// Ladder prefix proved infeasible on this fabric structure.
-    pub infeasible: Option<InfeasiblePrefix>,
+pub struct MapSeed<'a> {
+    /// Placement seeds; the first that provably replays on the target is
+    /// used.
+    pub seeds: &'a [PlacementSeed],
+    /// Infeasibility proofs; the highest anchored to the target's DFG and
+    /// fabric raises the ladder's start.
+    pub proofs: &'a [InfeasiblePrefix],
 }
 
-/// How a seeded mapping run arrived at its result.
+/// How a hint shaped one ladder run. The mapper reports it on success and
+/// inside [`MapError::NoValidMapping`] alike, and never in any `Display`
+/// text, so it stays out of stored records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeedOutcome {
-    /// No seed information was used; the full ladder ran from scratch.
+    /// No hint candidate matched; the full ladder ran from scratch.
     Scratch,
+    /// A candidate matched the DFG and fabric but decided nothing (a proof
+    /// below the lower bound, or a seed that failed re-validation); the
+    /// full ladder ran.
+    Unused,
     /// The ladder start was raised past a proven-infeasible prefix.
     Floored,
     /// The seed re-validated on the target fabric and was returned directly.
     Replayed,
+    /// The hint proved that no II within the bound maps; no attempt ran.
+    FastFailed,
+}
+
+impl SeedOutcome {
+    /// Whether some hint candidate matched the DFG and fabric.
+    pub fn hinted(self) -> bool {
+        self != SeedOutcome::Scratch
+    }
+
+    /// Whether the hint decided the result and so skipped work: a replay, a
+    /// floored ladder or a fast-fail.
+    pub fn hit(self) -> bool {
+        matches!(
+            self,
+            SeedOutcome::Floored | SeedOutcome::Replayed | SeedOutcome::FastFailed
+        )
+    }
 }
 
 /// A mapping plus the provenance of how seeding contributed to it.
@@ -426,11 +455,11 @@ pub(crate) struct LadderMapper<'o> {
 /// every II from the lower bound `mii` up to `max_ii` and returns the first
 /// success, validated, with its seed.
 ///
-/// A hint is applied first. A canonical seed of the same DFG, mapper and
-/// options whose run provably reproduces on this fabric is replayed instead
-/// of searching; an infeasibility proof for this exact fabric raises the
-/// ladder's start. Both reproduce a cold run bit-for-bit because each
-/// attempt is a pure function of `(dfg, fabric, ii)`.
+/// A hint is applied first (see `plan_ladder`). A canonical seed of the
+/// same DFG, mapper and options whose run provably reproduces on this fabric
+/// is replayed instead of searching; an infeasibility proof for this exact
+/// fabric raises the ladder's start. Both reproduce a cold run bit-for-bit
+/// because each attempt is a pure function of `(dfg, fabric, ii)`.
 ///
 /// Seed certificates follow one policy:
 ///
@@ -450,8 +479,9 @@ pub(crate) struct LadderMapper<'o> {
 /// # Errors
 ///
 /// [`MapError::UnsupportedDfg`] when the DFG needs memory units the fabric
-/// lacks, [`MapError::NoValidMapping`] when no II up to `max_ii` maps, and
-/// any validation error of the produced mapping.
+/// lacks, [`MapError::NoValidMapping`] (carrying the proof that every II up
+/// to `max_ii` fails here) when no II maps, and any validation error of the
+/// produced mapping.
 pub(crate) fn map_ladder<'a>(
     dfg: &'a Dfg,
     arch: &'a Architecture,
@@ -468,13 +498,19 @@ pub(crate) fn map_ladder<'a>(
     let options = options_fingerprint(mapper.options);
     let lower = mii(dfg, arch);
     let max_ii = mapper.max_ii.unwrap_or(arch.params().max_ii());
-    let infeasible = || MapError::NoValidMapping {
+    let infeasible = |outcome| MapError::NoValidMapping {
         kernel: dfg.name().to_string(),
         arch: arch.name().to_string(),
         max_ii,
+        proof: InfeasiblePrefix {
+            dfg: ctx.dfg,
+            fabric: ctx.fabric,
+            through_ii: max_ii,
+        },
+        outcome,
     };
-    let (start, floored) = match plan_ladder(hint, &ctx, mapper.name, options, lower, max_ii) {
-        LadderPlan::Infeasible => return Err(infeasible()),
+    let (start, outcome) = match plan_ladder(hint, &ctx, mapper.name, options, lower, max_ii) {
+        LadderPlan::Infeasible => return Err(infeasible(SeedOutcome::FastFailed)),
         LadderPlan::Replay(source) => {
             if let Some(mapping) = source.replay(dfg, arch) {
                 let mut seed = PlacementSeed::capture(dfg, &mapping, arch, options, None);
@@ -487,9 +523,9 @@ pub(crate) fn map_ladder<'a>(
                 });
             }
             // Corrupt or mismatched seed: the scratch ladder is always sound.
-            (lower, false)
+            (lower, SeedOutcome::Unused)
         }
-        LadderPlan::Ladder { start, floored } => (start, floored),
+        LadderPlan::Ladder { start, outcome } => (start, outcome),
     };
     // The capacity certificate accumulates across the entire ladder (all II
     // attempts, including failed ones); the adjacency index likewise serves
@@ -499,13 +535,10 @@ pub(crate) fn map_ladder<'a>(
         if let Some(state) = attempt(ii, &shared) {
             let mapping = state.into_mapping(mapper.name);
             mapping.validate(dfg, arch)?;
-            let (outcome, cert) = if floored {
-                (SeedOutcome::Floored, None)
+            let cert = if outcome == SeedOutcome::Floored {
+                None
             } else {
-                (
-                    SeedOutcome::Scratch,
-                    mapper.certified.then_some(&*shared.cert),
-                )
+                mapper.certified.then_some(&*shared.cert)
             };
             return Ok(SeededMapping {
                 seed: PlacementSeed::capture(dfg, &mapping, arch, options, cert),
@@ -514,7 +547,7 @@ pub(crate) fn map_ladder<'a>(
             });
         }
     }
-    Err(infeasible())
+    Err(infeasible(outcome))
 }
 
 /// The ladder decision derived from a hint before any II attempt runs.
@@ -524,9 +557,9 @@ enum LadderPlan<'a> {
     Infeasible,
     /// The seed replays exactly; no search needed.
     Replay(&'a PlacementSeed),
-    /// Run the ladder from `start` (>= mii); `floored` when a proven
-    /// prefix raised it.
-    Ladder { start: u32, floored: bool },
+    /// Run the ladder from `start` (>= mii); `outcome` is
+    /// [`SeedOutcome::Floored`] when a proven prefix raised it.
+    Ladder { start: u32, outcome: SeedOutcome },
 }
 
 /// Everything about the target fabric a ladder plan needs to decide seed
@@ -552,54 +585,72 @@ impl SeedContext {
 
 /// Derives the ladder plan for a mapper from an optional hint.
 ///
-/// Soundness: every tier first requires the hint's DFG fingerprint to match
-/// the graph being mapped — results and proofs do not translate across
-/// workloads, and a mismatched hint is ignored rather than trusted. `Replay`
-/// is only produced for a canonical seed of the same mapper and options
-/// whose run provably reproduces on the target fabric — identical full
-/// signature, or identical no-capacity signature with every switch capacity
-/// inside the seed's certified window. The raised ladder `start` requires an
+/// Soundness: every candidate must carry the DFG fingerprint of the graph
+/// being mapped — results and proofs do not translate across workloads, and
+/// a mismatched candidate is ignored rather than trusted. `Replay` is only
+/// produced for a canonical seed of the same mapper and options whose run
+/// provably reproduces on the target fabric — identical full signature, or
+/// identical no-capacity signature with every switch capacity inside the
+/// seed's certified window. The raised ladder `start` requires an
 /// infeasibility proof anchored to the target's full signature. Anything
 /// weaker is ignored.
+///
+/// Which sound seed is replayed cannot change the result: each reproduces
+/// this fabric's cold ladder, so the first one is taken. Proofs only ever
+/// raise the start, so the highest one anchored here is taken.
 fn plan_ladder<'a>(
-    hint: Option<&'a MapSeed>,
+    hint: Option<&MapSeed<'a>>,
     ctx: &SeedContext,
     mapper: &str,
     options: u64,
     mii: u32,
     max_ii: u32,
 ) -> LadderPlan<'a> {
-    let mut start = mii;
-    let mut floored = false;
     let Some(hint) = hint else {
-        return LadderPlan::Ladder { start, floored };
+        return LadderPlan::Ladder {
+            start: mii,
+            outcome: SeedOutcome::Scratch,
+        };
     };
-    if let Some(prefix) = &hint.infeasible {
-        if prefix.dfg == ctx.dfg && prefix.fabric == ctx.fabric && prefix.through_ii >= start {
-            if prefix.through_ii >= max_ii {
-                return LadderPlan::Infeasible;
-            }
-            start = prefix.through_ii + 1;
-            floored = true;
-        }
-    }
-    if let Some(seed) = &hint.seed {
-        let sound = seed.canonical
-            && seed.dfg == ctx.dfg
-            && seed.mapper == mapper
-            && seed.options == options
-            && seed.transfers_to(ctx.fabric, ctx.nocap, &ctx.capacities);
-        if sound {
-            if seed.ii <= max_ii {
-                return LadderPlan::Replay(seed);
-            }
-            // A canonical transferable result above this point's II bound
-            // proves the bounded ladder fails (its attempts are a prefix of
-            // the ladder that produced the seed).
+    let proved = hint
+        .proofs
+        .iter()
+        .filter(|p| p.dfg == ctx.dfg && p.fabric == ctx.fabric)
+        .map(|p| p.through_ii)
+        .max();
+    let seed = hint.seeds.iter().find(|s| {
+        s.canonical
+            && s.dfg == ctx.dfg
+            && s.mapper == mapper
+            && s.options == options
+            && s.transfers_to(ctx.fabric, ctx.nocap, &ctx.capacities)
+    });
+    let outcome = if proved.is_some() || seed.is_some() {
+        SeedOutcome::Unused
+    } else {
+        SeedOutcome::Scratch
+    };
+    let mut plan = LadderPlan::Ladder {
+        start: mii,
+        outcome,
+    };
+    if let Some(through_ii) = proved.filter(|&ii| ii >= mii) {
+        if through_ii >= max_ii {
             return LadderPlan::Infeasible;
         }
+        plan = LadderPlan::Ladder {
+            start: through_ii + 1,
+            outcome: SeedOutcome::Floored,
+        };
     }
-    LadderPlan::Ladder { start, floored }
+    match seed {
+        Some(seed) if seed.ii <= max_ii => LadderPlan::Replay(seed),
+        // A canonical transferable result above this point's II bound
+        // proves the bounded ladder fails (its attempts are a prefix of the
+        // ladder that produced the seed).
+        Some(_) => LadderPlan::Infeasible,
+        None => plan,
+    }
 }
 
 /// Fingerprint of a mapper's options, via its `Debug` rendering. Stable
@@ -652,10 +703,10 @@ mod tests {
         (dfg, arch, seed, options)
     }
 
-    fn hint(seed: &PlacementSeed) -> MapSeed {
+    fn hint(seed: &PlacementSeed) -> MapSeed<'_> {
         MapSeed {
-            seed: Some(seed.clone()),
-            infeasible: None,
+            seeds: std::slice::from_ref(seed),
+            proofs: &[],
         }
     }
 
@@ -665,8 +716,12 @@ mod tests {
         let ctx = SeedContext::of(&small_dfg(), arch);
         match plan_ladder(Some(hint), &ctx, mapper, options, 2, 16) {
             LadderPlan::Replay(_) => true,
-            LadderPlan::Ladder { start, floored } => {
-                assert_eq!((start, floored), (2, false), "a seed never floors");
+            LadderPlan::Ladder { start, outcome } => {
+                assert_eq!(
+                    (start, outcome),
+                    (2, SeedOutcome::Scratch),
+                    "a rejected seed neither floors nor counts as a match"
+                );
                 false
             }
             LadderPlan::Infeasible => panic!("a seed within the II bound never fast-fails"),
@@ -752,33 +807,37 @@ mod tests {
             capacities: Vec::new(),
         };
         let fabric = 42u64;
+        let proofs = [InfeasiblePrefix {
+            dfg: 7,
+            fabric,
+            through_ii: 8,
+        }];
         let hint = MapSeed {
-            seed: None,
-            infeasible: Some(InfeasiblePrefix {
-                dfg: 7,
-                fabric,
-                through_ii: 8,
-            }),
+            seeds: &[],
+            proofs: &proofs,
         };
-        match plan_ladder(Some(&hint), &ctx(fabric), "sa", 0, 2, 16) {
-            LadderPlan::Ladder { start, floored } => {
-                assert_eq!(start, 9);
-                assert!(floored);
-            }
-            other => panic!("expected floored ladder, got {other:?}"),
-        }
+        let ladder = |plan: LadderPlan| match plan {
+            LadderPlan::Ladder { start, outcome } => (start, outcome),
+            other => panic!("expected a ladder, got {other:?}"),
+        };
+        assert_eq!(
+            ladder(plan_ladder(Some(&hint), &ctx(fabric), "sa", 0, 2, 16)),
+            (9, SeedOutcome::Floored)
+        );
         assert!(matches!(
             plan_ladder(Some(&hint), &ctx(fabric), "sa", 0, 2, 8),
             LadderPlan::Infeasible
         ));
+        // A proof below the lower bound matches but decides nothing.
+        assert_eq!(
+            ladder(plan_ladder(Some(&hint), &ctx(fabric), "sa", 0, 12, 16)),
+            (12, SeedOutcome::Unused)
+        );
         // A prefix proved on a different fabric is ignored.
-        match plan_ladder(Some(&hint), &ctx(fabric + 1), "sa", 0, 2, 8) {
-            LadderPlan::Ladder { start, floored } => {
-                assert_eq!(start, 2);
-                assert!(!floored);
-            }
-            other => panic!("expected untouched ladder, got {other:?}"),
-        }
+        assert_eq!(
+            ladder(plan_ladder(Some(&hint), &ctx(fabric + 1), "sa", 0, 2, 8)),
+            (2, SeedOutcome::Scratch)
+        );
         // A prefix proved on a different DFG is ignored too: proofs do not
         // translate across workloads, even on the same fabric.
         let other_dfg = SeedContext {
@@ -787,12 +846,50 @@ mod tests {
             nocap: 0,
             capacities: Vec::new(),
         };
-        match plan_ladder(Some(&hint), &other_dfg, "sa", 0, 2, 8) {
-            LadderPlan::Ladder { start, floored } => {
-                assert_eq!(start, 2);
-                assert!(!floored);
+        assert_eq!(
+            ladder(plan_ladder(Some(&hint), &other_dfg, "sa", 0, 2, 8)),
+            (2, SeedOutcome::Scratch)
+        );
+    }
+
+    #[test]
+    fn ladder_plan_takes_the_highest_anchored_proof_and_the_first_sound_seed() {
+        let (_, arch, seed, options) = pathfinder_seed();
+        let ctx = SeedContext::of(&small_dfg(), &arch);
+        let proof = |fabric: u64, through_ii: u32| InfeasiblePrefix {
+            dfg: ctx.dfg,
+            fabric,
+            through_ii,
+        };
+        let proofs = [
+            proof(ctx.fabric, 3),
+            proof(ctx.fabric ^ 1, 9),
+            proof(ctx.fabric, 5),
+        ];
+        let floors = MapSeed {
+            seeds: &[],
+            proofs: &proofs,
+        };
+        match plan_ladder(Some(&floors), &ctx, "pathfinder", options, 2, 16) {
+            LadderPlan::Ladder { start, outcome } => {
+                assert_eq!((start, outcome), (6, SeedOutcome::Floored));
             }
-            other => panic!("expected untouched ladder, got {other:?}"),
+            other => panic!("expected a floored ladder, got {other:?}"),
+        }
+        // A non-canonical seed ahead of a sound one does not shadow it.
+        let legacy = PlacementSeed {
+            canonical: false,
+            ii: seed.ii + 1,
+            ..seed.clone()
+        };
+        let seeds = [legacy, seed.clone()];
+        let both = MapSeed {
+            seeds: &seeds,
+            proofs: &[],
+        };
+        match plan_ladder(Some(&both), &ctx, "pathfinder", options, 2, 16) {
+            LadderPlan::Replay(chosen) => assert_eq!(chosen, &seed),
+            other => panic!("expected a replay, got {other:?}"),
         }
     }
 

@@ -2,11 +2,12 @@
 //! Pareto-frontier invariants, cache behaviour and JSON round-tripping.
 
 use plaid::pipeline::{compile_workload, ArchChoice, CompileSummary, MapperChoice};
-use plaid_arch::{ArchClass, BwClass, CommSpec, DesignPoint, SpaceSpec, Topology};
+use plaid_arch::{ArchClass, BwClass, CommSpec, DesignPoint, SelectPolicy, SpaceSpec, Topology};
 use plaid_explore::{
     cache_key, run_sweep, run_sweep_with, EvalRecord, FrontierReport, Objectives, ResultCache,
     SeedPolicy, SweepOutcome, SweepPlan,
 };
+use plaid_mapper::fabric_signature;
 use plaid_workloads::find_workload;
 
 fn small_plan() -> SweepPlan {
@@ -305,14 +306,12 @@ fn topology_sweep_covers_non_mesh_points() {
     assert_eq!(back, outcome);
 }
 
-#[test]
-fn exact_seeding_preserves_the_frontier_bit_for_bit() {
-    // The warm-start acceptance property: an exactly-seeded sweep must emit
-    // the same frontier JSON as a cold sweep of the same plan, while
-    // actually exercising the seeding path (seeded > 0).
-    let plan = small_plan();
-    let cold = run_sweep_with(&plan, &ResultCache::new(), SeedPolicy::Off);
-    let seeded = run_sweep_with(&plan, &ResultCache::new(), SeedPolicy::Exact);
+/// The warm-start acceptance property: an exactly-seeded sweep of `plan`
+/// must emit the same frontier JSON as a cold sweep, while actually
+/// exercising the seeding path. Returns the seeded outcome.
+fn assert_exact_seeding_preserves_the_frontier(plan: &SweepPlan) -> SweepOutcome {
+    let cold = run_sweep_with(plan, &ResultCache::new(), SeedPolicy::Off);
+    let seeded = run_sweep_with(plan, &ResultCache::new(), SeedPolicy::Exact);
     assert!(seeded.stats.seeded > 0, "plan must exercise warm starts");
     assert!(
         seeded.stats.seed_hits > 0,
@@ -325,4 +324,54 @@ fn exact_seeding_preserves_the_frontier_bit_for_bit() {
     // Off-policy stats never report seeding activity.
     assert_eq!(cold.stats.seeded, 0);
     assert_eq!(cold.stats.seed_hits, 0);
+    seeded
+}
+
+#[test]
+fn exact_seeding_preserves_the_frontier_bit_for_bit() {
+    assert_exact_seeding_preserves_the_frontier(&small_plan());
+}
+
+#[test]
+fn exact_seeding_preserves_the_frontier_across_select_policy_siblings() {
+    // A fixed select-bit budget changes the cost model only, so the fixed
+    // sibling of the aligned network builds the same fabric signature, and
+    // seeds and infeasibility proofs pass between the two.
+    let fixed = CommSpec {
+        select_policy: SelectPolicy::Fixed,
+        ..CommSpec::ALIGNED
+    };
+    let spec = SpaceSpec {
+        classes: vec![ArchClass::SpatioTemporal],
+        dims: vec![(2, 2)],
+        config_entries: vec![8, 16],
+        comm_specs: vec![CommSpec::ALIGNED, fixed],
+    };
+    let built = |comm: CommSpec| {
+        DesignPoint {
+            class: ArchClass::SpatioTemporal,
+            rows: 2,
+            cols: 2,
+            config_entries: 16,
+            comm,
+        }
+        .build()
+    };
+    assert_eq!(
+        fabric_signature(&built(CommSpec::ALIGNED)),
+        fabric_signature(&built(fixed))
+    );
+    let workloads = vec![
+        find_workload("dwconv").unwrap(),
+        find_workload("atax_u2").unwrap(),
+    ];
+    let plan = SweepPlan::cross(&workloads, &spec);
+    let seeded = assert_exact_seeding_preserves_the_frontier(&plan);
+    // atax_u2 fails at depth 8 only. Six of the eight points skip work:
+    // three dwconv replays of the first dwconv seed; the fixed depth-8
+    // atax_u2 point fails fast on the aligned point's proof; the aligned
+    // depth-16 atax_u2 ladder is floored by it; the fixed depth-16 point
+    // replays that result.
+    assert_eq!(seeded.stats.failures, 2);
+    assert_eq!((seeded.stats.seeded, seeded.stats.seed_hits), (6, 6));
 }

@@ -1,15 +1,19 @@
 //! The II ladder every modulo mapper (SA, PathFinder, Plaid) runs: the
 //! memory-unit guard, the capacity-certificate policy of captured seeds,
-//! and that seeds persisted by older builds load but replay only when
-//! provably canonical.
+//! that seeds persisted by older builds load but replay only when provably
+//! canonical, and that the mapper's own report of how it used a hint is
+//! what a sweep counts.
 
 use plaid::pipeline::MapperChoice;
 use plaid_arch::architecture::ArchBuilder;
 use plaid_arch::{
-    spatio_temporal, ArchClass, Architecture, CommLevel, DesignPoint, FuCaps, ResourceKind,
+    spatio_temporal, ArchClass, Architecture, CommLevel, CommSpec, DesignPoint, FuCaps,
+    ResourceKind, SpaceSpec,
 };
 use plaid_dfg::Dfg;
-use plaid_explore::{evaluate_point, ResultCache, SeedPolicy, SeedStore, SweepPoint};
+use plaid_explore::{
+    cache_key, evaluate_point, run_sweep_with, ResultCache, SeedPolicy, SweepPlan, SweepPoint,
+};
 use plaid_mapper::{
     dfg_fingerprint, fabric_signature, mii, InfeasiblePrefix, MapError, MapSeed, PathFinderMapper,
     PlacementSeed, PlaidMapper, SaMapper, SeedOutcome, SeededMapping,
@@ -123,8 +127,8 @@ fn seed_certificates_follow_one_policy() {
 
         // A replayed seed inherits its source's certificate verbatim.
         let replay_hint = MapSeed {
-            seed: Some(cold.seed.clone()),
-            infeasible: None,
+            seeds: std::slice::from_ref(&cold.seed),
+            proofs: &[],
         };
         let replayed = map(&dfg, &arch, Some(&replay_hint)).unwrap();
         assert_eq!(replayed.outcome, SeedOutcome::Replayed, "{name}");
@@ -138,13 +142,14 @@ fn seed_certificates_follow_one_policy() {
         // A floored seed carries none: the certificate does not cover the
         // skipped prefix. Floor through the lower bound so the raised
         // ladder still fits under the configuration depth.
+        let proof = InfeasiblePrefix {
+            dfg: dfg_fingerprint(&dfg),
+            fabric: fabric_signature(&arch),
+            through_ii: mii(&dfg, &arch),
+        };
         let floor_hint = MapSeed {
-            seed: None,
-            infeasible: Some(InfeasiblePrefix {
-                dfg: dfg_fingerprint(&dfg),
-                fabric: fabric_signature(&arch),
-                through_ii: mii(&dfg, &arch),
-            }),
+            seeds: &[],
+            proofs: &[proof],
         };
         let floored = map(&dfg, &arch, Some(&floor_hint)).unwrap();
         assert_eq!(floored.outcome, SeedOutcome::Floored, "{name}");
@@ -179,17 +184,18 @@ fn persisted_non_canonical_seeds_load_but_never_replay() {
         design: design(ArchClass::SpatioTemporal, depth),
         mapper: MapperChoice::PathFinder,
     };
-    let (p16, p8) = (point(16), point(8));
+    let (p8, p16) = (point(8), point(16));
     let arch16 = p16.design.build();
-    let arch8 = p8.design.build();
 
     // The mapper's ladder never replays it: the result is the cold one.
     let mapper = PathFinderMapper::default();
     let cold = mapper.map_with_seed(&dfg, &arch16, None).unwrap();
-    let hint = |seed: &PlacementSeed| MapSeed {
-        seed: Some(seed.clone()),
-        infeasible: None,
-    };
+    fn hint(seed: &PlacementSeed) -> MapSeed<'_> {
+        MapSeed {
+            seeds: std::slice::from_ref(seed),
+            proofs: &[],
+        }
+    }
     let ignored = mapper
         .map_with_seed(&dfg, &arch16, Some(&hint(&legacy)))
         .unwrap();
@@ -202,15 +208,84 @@ fn persisted_non_canonical_seeds_load_but_never_replay() {
     assert_eq!(replayed.outcome, SeedOutcome::Replayed);
     assert_eq!(replayed.mapping.placements, cold.mapping.placements);
 
-    // The seed store never offers it to a depth sibling.
-    let offered = |seed: &PlacementSeed| {
-        let mut record = evaluate_point(&p16, &ResultCache::new());
-        record.summary.as_mut().expect("dwconv maps").seed = Some(seed.clone());
-        let store = SeedStore::new();
-        assert!(store.absorb_seed(&p16, &record));
-        let dfg8 = dfg_fingerprint(&p8.workload.lower().unwrap());
-        store.hint_for(&p8, &arch8, dfg8, SeedPolicy::Exact)
+    // A sweep over a cache holding the record with that seed at depth 8
+    // (the same fabric signature) passes it to the depth-16 sibling, which
+    // maps cold and counts no hint; the canonical twin replays instead.
+    let cold16 = evaluate_point(&p16, &ResultCache::new());
+    let plan = SweepPlan {
+        points: vec![p8.clone(), p16.clone()],
     };
-    assert!(offered(&legacy).is_none());
-    assert!(offered(&twin).is_some_and(|h| h.seed == Some(twin.clone())));
+    let sweep_over = |seed: &PlacementSeed| {
+        let mut record = evaluate_point(&p8, &ResultCache::new());
+        record
+            .summary
+            .as_mut()
+            .expect("dwconv maps at depth 8")
+            .seed = Some(seed.clone());
+        let cache = ResultCache::new();
+        cache.insert(cache_key(&p8), record);
+        run_sweep_with(&plan, &cache, SeedPolicy::Exact)
+    };
+    let legacy_sweep = sweep_over(&legacy);
+    assert_eq!(legacy_sweep.stats.cache_hits, 1);
+    assert_eq!(
+        (legacy_sweep.stats.seeded, legacy_sweep.stats.seed_hits),
+        (0, 0)
+    );
+    assert_eq!(legacy_sweep.records[1], cold16);
+    let twin_sweep = sweep_over(&twin);
+    assert_eq!(
+        (twin_sweep.stats.seeded, twin_sweep.stats.seed_hits),
+        (1, 1)
+    );
+    assert_eq!(twin_sweep.records[1], cold16);
+}
+
+#[test]
+fn a_proof_below_the_lower_bound_is_a_hint_but_not_a_hit() {
+    // gramsc_u4 cannot map on the lean 2x2 spatio-temporal fabric: at depth
+    // 8 its lower bound already exceeds the II cap, and at depth 16 every II
+    // fails. The depth-8 proof matches the depth-16 fabric but lies below
+    // its lower bound, so the depth-16 ladder runs in full.
+    let spec = SpaceSpec {
+        classes: vec![ArchClass::SpatioTemporal],
+        dims: vec![(2, 2)],
+        config_entries: vec![8, 16],
+        comm_specs: vec![CommSpec::LEAN],
+    };
+    let workload = find_workload("gramsc_u4").unwrap();
+    let plan = SweepPlan::cross(std::slice::from_ref(&workload), &spec);
+    let outcome = run_sweep_with(&plan, &ResultCache::new(), SeedPolicy::Exact);
+    assert_eq!(outcome.stats.failures, 2);
+    assert_eq!(
+        (outcome.stats.seeded, outcome.stats.seed_hits),
+        (1, 0),
+        "the depth-16 point is hinted, not a hit"
+    );
+
+    // The same decision, reported by the mapper itself.
+    let dfg = workload.lower().unwrap();
+    let (d8, d16) = (plan.points[0].design.build(), plan.points[1].design.build());
+    let mapper = PathFinderMapper::default();
+    let proof = match mapper.map_with_seed(&dfg, &d8, None) {
+        Err(MapError::NoValidMapping { proof, outcome, .. }) => {
+            assert_eq!(outcome, SeedOutcome::Scratch);
+            proof
+        }
+        other => panic!("expected NoValidMapping at depth 8, got {other:?}"),
+    };
+    assert_eq!(proof.through_ii, 8);
+    assert!(mii(&dfg, &d16) > proof.through_ii);
+    let hint = MapSeed {
+        seeds: &[],
+        proofs: &[proof],
+    };
+    match mapper.map_with_seed(&dfg, &d16, Some(&hint)) {
+        Err(MapError::NoValidMapping { proof, outcome, .. }) => {
+            assert_eq!(outcome, SeedOutcome::Unused);
+            assert!(outcome.hinted() && !outcome.hit());
+            assert_eq!(proof.through_ii, 16);
+        }
+        other => panic!("expected NoValidMapping at depth 16, got {other:?}"),
+    }
 }

@@ -295,8 +295,8 @@ mod warm_start_properties {
             return Ok(());
         };
         let hint = MapSeed {
-            seed: Some(cold.seed.clone()),
-            infeasible: None,
+            seeds: std::slice::from_ref(&cold.seed),
+            proofs: &[],
         };
         let warm = map(Some(&hint));
         prop_assert!(warm.is_ok(), "own seed must replay");
@@ -321,8 +321,8 @@ mod warm_start_properties {
             return Ok(());
         };
         let hint = MapSeed {
-            seed: Some(foreign.seed),
-            infeasible: None,
+            seeds: std::slice::from_ref(&foreign.seed),
+            proofs: &[],
         };
         match (map(None), map(Some(&hint))) {
             (Ok(cold), Ok(warm)) => {

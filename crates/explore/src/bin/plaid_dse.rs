@@ -418,6 +418,11 @@ fn run_merge(args: Vec<String>) -> Result<(), String> {
 
     let merged = ResultCache::new();
     for path in &inputs {
+        // `ResultCache::load` reads a missing file as an empty cache (a first
+        // sweep run); here it would silently merge a partial plan.
+        if !path.is_file() {
+            return Err(format!("merge: no shard cache at {}", path.display()));
+        }
         let shard = ResultCache::load(path)
             .map_err(|e| format!("cannot load shard cache {}: {e}", path.display()))?;
         let loaded = shard.len();

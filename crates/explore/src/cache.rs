@@ -1,18 +1,27 @@
 //! Content-addressed memoization of sweep evaluations.
 //!
-//! Every (workload × design point × mapper) evaluation is keyed by a hash of
-//! the *content* that determines its result — the workload descriptor, the
-//! full architecture parameterization and the mapper choice — not by its
-//! position in any particular sweep. Overlapping or repeated sweeps therefore
-//! share results: a point evaluated once is never compiled again, whether the
-//! second request comes from the same process or from a cache file persisted
-//! by an earlier `plaid-dse` run.
+//! A record's *identity* is the content that determines its result: the
+//! workload descriptor, the full architecture parameterization (the design
+//! point) and the mapper, never its position in any particular sweep. The
+//! cache holds one record per identity, and lookup, insert and merge all key
+//! by it. Overlapping or repeated sweeps therefore share results: a point
+//! evaluated once is never compiled again, whether the second request comes
+//! from the same process or from a cache file persisted by an earlier
+//! `plaid-dse` run.
+//!
+//! On disk, records are grouped under [`cache_key`], a stable 64-bit content
+//! hash of the identity (`key -> [record, ...]`). The hash only names the
+//! group; loading re-keys every record by its own identity, so two
+//! identities whose hashes collide can never serve each other's lookups.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
+
+use plaid::pipeline::MapperChoice;
+use plaid_arch::DesignPoint;
+use plaid_workloads::WorkloadDescriptor;
 
 use crate::record::EvalRecord;
 use crate::sweep::SweepPoint;
@@ -28,6 +37,53 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// What an evaluation is the result of: two records describe the same point
+/// exactly when their identities are equal.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Identity {
+    workload: WorkloadDescriptor,
+    design: DesignPoint,
+    mapper: MapperChoice,
+}
+
+impl Identity {
+    fn of_point(point: &SweepPoint) -> Self {
+        Identity {
+            workload: point.workload.descriptor(),
+            design: point.design,
+            mapper: point.mapper,
+        }
+    }
+
+    fn of_record(record: &EvalRecord) -> Self {
+        Identity {
+            workload: record.workload.clone(),
+            design: record.design,
+            mapper: record.mapper,
+        }
+    }
+
+    /// See [`cache_key_hash`].
+    fn content_hash(&self) -> u64 {
+        let canonical = format!(
+            "v1|workload={}|kernel={}|unroll={}|iters={}|design={}|params={}|mapper={}",
+            self.workload.name,
+            self.workload.kernel,
+            self.workload.unroll,
+            self.workload.iterations,
+            serde_json::to_string(&self.design).expect("design point serializes"),
+            serde_json::to_string(&self.design.params()).expect("params serialize"),
+            self.mapper.label(),
+        );
+        fnv1a64(canonical.as_bytes())
+    }
+
+    /// See [`cache_key`].
+    fn key(&self) -> String {
+        format!("v1:{:016x}", self.content_hash())
+    }
+}
+
 /// Computes the raw 64-bit content hash of a sweep point — the number behind
 /// [`cache_key`].
 ///
@@ -36,51 +92,30 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// configuration depth, communication spec — via the design point's JSON
 /// form, which includes every `ArchParams` knob the builders consume) and the
 /// mapper. It depends only on the point's *content*, never on its position in
-/// a sweep plan, which is what makes it usable both as a cache key and as the
-/// shard-assignment hash of [`crate::shard::partition_plan`] (stable under
-/// point reordering).
+/// a sweep plan, which is what makes it usable both as the cache file's key
+/// and as the shard-assignment hash of [`crate::shard::shard_of`] (stable
+/// under point reordering).
 pub fn cache_key_hash(point: &SweepPoint) -> u64 {
-    let descriptor = point.workload.descriptor();
-    let canonical = format!(
-        "v1|workload={}|kernel={}|unroll={}|iters={}|design={}|params={}|mapper={}",
-        descriptor.name,
-        descriptor.kernel,
-        descriptor.unroll,
-        descriptor.iterations,
-        serde_json::to_string(&point.design).expect("design point serializes"),
-        serde_json::to_string(&point.design.params()).expect("params serialize"),
-        point.mapper.label(),
-    );
-    fnv1a64(canonical.as_bytes())
+    Identity::of_point(point).content_hash()
 }
 
-/// Computes the content-addressed cache key of a sweep point.
+/// Computes the content-addressed key a point's record is saved under.
 ///
 /// The key is the hex form of [`cache_key_hash`]. The `v1:` prefix versions
 /// the scheme so a future format change invalidates old cache files instead
 /// of aliasing them.
 pub fn cache_key(point: &SweepPoint) -> String {
-    format!("v1:{:016x}", cache_key_hash(point))
+    Identity::of_point(point).key()
 }
 
-/// True when a cached record was produced for exactly this sweep point.
-fn record_matches(record: &EvalRecord, point: &SweepPoint) -> bool {
-    record.design == point.design
-        && record.mapper == point.mapper
-        && record.workload == point.workload.descriptor()
-}
-
-/// Thread-safe, content-addressed result cache with hit/miss accounting.
+/// Thread-safe result cache holding one record per identity.
 ///
-/// Entries are stored in per-key *buckets*: two points whose content hashes
-/// collide on the same 64-bit key coexist in one bucket (each record's full
-/// identity disambiguates them) instead of evicting each other on every
-/// insert.
+/// Records are boxed: the map keeps up to twice as many slots as entries,
+/// and a record is over 500 bytes inline, so unboxed slots would multiply
+/// the cache's memory.
 #[derive(Debug, Default)]
 pub struct ResultCache {
-    entries: RwLock<HashMap<String, Vec<EvalRecord>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    records: RwLock<HashMap<Identity, Box<EvalRecord>>>,
 }
 
 impl ResultCache {
@@ -92,9 +127,9 @@ impl ResultCache {
     /// Loads a cache persisted by [`ResultCache::save`]. A missing file
     /// yields an empty cache; a malformed file is an error.
     ///
-    /// Both the current bucketed format (`key -> [record, ...]`) and the
-    /// legacy single-record format (`key -> record`) are accepted, so cache
-    /// files written before collision buckets existed keep loading.
+    /// Both the grouped format (`key -> [record, ...]`) and the legacy
+    /// single-record format (`key -> record`) are accepted. Each record is
+    /// kept under its own identity, whatever key the file stored it under.
     ///
     /// # Errors
     ///
@@ -109,24 +144,24 @@ impl ResultCache {
             |e: serde_json::Error| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
         let raw: HashMap<String, serde_json::Value> =
             serde_json::from_str(&text).map_err(invalid)?;
-        let mut entries: HashMap<String, Vec<EvalRecord>> = HashMap::with_capacity(raw.len());
-        for (key, value) in raw {
-            let bucket = if value.as_array().is_some() {
-                serde_json::from_value::<Vec<EvalRecord>>(&value).map_err(invalid)?
+        let mut records = HashMap::with_capacity(raw.len());
+        for value in raw.values() {
+            let group = if value.as_array().is_some() {
+                serde_json::from_value::<Vec<EvalRecord>>(value).map_err(invalid)?
             } else {
-                vec![serde_json::from_value::<EvalRecord>(&value).map_err(invalid)?]
+                vec![serde_json::from_value::<EvalRecord>(value).map_err(invalid)?]
             };
-            entries.insert(key, bucket);
+            for record in group {
+                records.insert(Identity::of_record(&record), Box::new(record));
+            }
         }
         Ok(ResultCache {
-            entries: RwLock::new(entries),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            records: RwLock::new(records),
         })
     }
 
-    /// Persists the cache as JSON (object keyed by content hash, one bucket
-    /// of identity-verified records per key).
+    /// Persists the cache as JSON: an object keyed by [`cache_key`], each
+    /// key holding the records whose identity hashes to it.
     ///
     /// The write is atomic: the JSON goes to a temporary file in the target's
     /// own directory which is then renamed over `path`, so a crash mid-save
@@ -142,10 +177,10 @@ impl ResultCache {
     ///
     /// Returns an [`io::Error`] if the file cannot be written or renamed.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let entries = self.entries.read().expect("cache lock poisoned");
-        let text = serde_json::to_string_pretty(&*entries)
+        let records = self.records.read().expect("cache lock poisoned");
+        let text = serde_json::to_string_pretty(&by_key(&records))
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        drop(entries);
+        drop(records);
         let file_name = path.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidInput, "cache path has no file name")
         })?;
@@ -168,16 +203,13 @@ impl ResultCache {
     }
 
     /// Unions another cache's records into this one, returning how many
-    /// records were *new* (an identity not previously present under its
-    /// key). A record whose exact identity (workload × design × mapper)
-    /// already exists is replaced by `other`'s copy — later merge inputs
-    /// win — and colliding-key buckets union record-by-record, so two
-    /// points sharing a 64-bit key never evict each other during a merge.
+    /// identities were *new*. A record whose identity already exists is
+    /// replaced by `other`'s copy, so later merge inputs win.
     ///
     /// This is the merge layer of sharded sweeps: shard-local caches are
-    /// disjoint by construction ([`crate::shard::partition_plan`] assigns
-    /// each point to exactly one shard), so unioning them reconstructs the
-    /// record set an unsharded sweep would have produced.
+    /// disjoint by construction ([`crate::shard::shard_of`] assigns each
+    /// point to exactly one shard), so unioning them reconstructs the record
+    /// set an unsharded sweep would have produced.
     pub fn union_merge(&self, other: &ResultCache) -> usize {
         // Merging a cache into itself is a no-op (union is idempotent);
         // without this check the read lock on `other` would deadlock
@@ -185,141 +217,71 @@ impl ResultCache {
         if std::ptr::eq(self, other) {
             return 0;
         }
-        let other_entries = other.entries.read().expect("cache lock poisoned");
-        let mut entries = self.entries.write().expect("cache lock poisoned");
-        let mut added = 0usize;
-        for (key, bucket) in other_entries.iter() {
-            let target = entries.entry(key.clone()).or_default();
-            for record in bucket {
-                match target.iter_mut().find(|r| {
-                    r.workload == record.workload
-                        && r.design == record.design
-                        && r.mapper == record.mapper
-                }) {
-                    Some(slot) => *slot = record.clone(),
-                    None => {
-                        target.push(record.clone());
-                        added += 1;
-                    }
-                }
-            }
-        }
-        added
+        let theirs = other.records.read().expect("cache lock poisoned");
+        let mut ours = self.records.write().expect("cache lock poisoned");
+        let before = ours.len();
+        ours.extend(theirs.iter().map(|(id, r)| (id.clone(), r.clone())));
+        ours.len() - before
     }
 
-    /// All cached records in a canonical, content-determined order: keys
-    /// ascending, and within a colliding-key bucket by serialized form. Two
-    /// caches holding the same record set — regardless of the insertion or
-    /// merge order that built them — return byte-identical snapshots, which
-    /// is what makes merged-frontier output reproducible and lets tests
-    /// compare caches for semantic equality.
+    /// All cached records in a canonical, content-determined order: the
+    /// order [`ResultCache::save`] writes them in. Two caches holding the
+    /// same record set — regardless of the insertion or merge order that
+    /// built them — return identical snapshots, which is what makes
+    /// merged-frontier output reproducible and lets tests compare caches for
+    /// semantic equality.
     pub fn canonical_records(&self) -> Vec<EvalRecord> {
-        let entries = self.entries.read().expect("cache lock poisoned");
-        let mut keys: Vec<&String> = entries.keys().collect();
-        keys.sort();
-        let mut records = Vec::with_capacity(entries.values().map(Vec::len).sum());
-        for key in keys {
-            let bucket = &entries[key];
-            if bucket.len() <= 1 {
-                records.extend(bucket.iter().cloned());
-            } else {
-                let mut sorted: Vec<EvalRecord> = bucket.clone();
-                sorted.sort_by_key(|r| serde_json::to_string(r).expect("record serializes"));
-                records.extend(sorted);
-            }
-        }
-        records
+        let records = self.records.read().expect("cache lock poisoned");
+        by_key(&records).into_values().flatten().cloned().collect()
     }
 
-    /// Looks up a point by its content key, counting a hit or miss.
-    ///
-    /// The stored records' identities are verified against `point` before
-    /// one is returned: a 64-bit key collision (or a corrupted/hand-edited
-    /// cache file) is treated as a miss, so collisions degrade to
-    /// recompilation instead of silently returning another point's result.
-    pub fn lookup(&self, key: &str, point: &SweepPoint) -> Option<EvalRecord> {
-        let entries = self.entries.read().expect("cache lock poisoned");
-        match entries
-            .get(key)
-            .and_then(|bucket| bucket.iter().find(|r| record_matches(r, point)))
-        {
-            Some(record) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(record.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts an evaluated record into its key's bucket, replacing a stored
-    /// record with the same identity and coexisting with colliding records
-    /// of *different* identity (the historical behaviour overwrote them, so
-    /// two colliding points evicted each other forever and one was silently
-    /// lost on save).
-    pub fn insert(&self, key: String, record: EvalRecord) {
-        let mut entries = self.entries.write().expect("cache lock poisoned");
-        let bucket = entries.entry(key).or_default();
-        match bucket.iter_mut().find(|r| {
-            r.workload == record.workload && r.design == record.design && r.mapper == record.mapper
-        }) {
-            Some(slot) => *slot = record,
-            None => bucket.push(record),
-        }
-    }
-
-    /// Number of cached records (across all buckets).
-    pub fn len(&self) -> usize {
-        self.entries
+    /// The cached record of `point`, if any.
+    pub fn lookup(&self, point: &SweepPoint) -> Option<EvalRecord> {
+        self.records
             .read()
             .expect("cache lock poisoned")
-            .values()
-            .map(Vec::len)
-            .sum()
+            .get(&Identity::of_point(point))
+            .map(|record| EvalRecord::clone(record))
+    }
+
+    /// Stores an evaluated record, replacing any record of the same
+    /// identity.
+    pub fn insert(&self, record: EvalRecord) {
+        self.records
+            .write()
+            .expect("cache lock poisoned")
+            .insert(Identity::of_record(&record), Box::new(record));
+    }
+
+    /// Number of cached records.
+    pub fn len(&self) -> usize {
+        self.records.read().expect("cache lock poisoned").len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
 
-    /// Lookups that found an entry since construction (or the last
-    /// [`ResultCache::reset_counters`]).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+/// Groups records under their [`cache_key`], keys ascending. Records sharing
+/// a key (a 64-bit hash collision) are ordered by serialized form, so the
+/// grouping never depends on the map's iteration order.
+fn by_key(records: &HashMap<Identity, Box<EvalRecord>>) -> BTreeMap<String, Vec<&EvalRecord>> {
+    let mut groups: BTreeMap<String, Vec<&EvalRecord>> = BTreeMap::new();
+    for (id, record) in records {
+        groups.entry(id.key()).or_default().push(record);
     }
-
-    /// Lookups that missed.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+    for group in groups.values_mut().filter(|g| g.len() > 1) {
+        group.sort_by_cached_key(|r| serde_json::to_string(r).expect("record serializes"));
     }
-
-    /// Fraction of lookups served from cache (0 when no lookups happened).
-    pub fn hit_rate(&self) -> f64 {
-        let hits = self.hits() as f64;
-        let total = hits + self.misses() as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            hits / total
-        }
-    }
-
-    /// Zeroes the hit/miss counters (entries are kept). Sweeps call this
-    /// between passes so per-pass rates are meaningful.
-    pub fn reset_counters(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
+    groups
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plaid::pipeline::MapperChoice;
-    use plaid_arch::{ArchClass, BwClass, CommLevel, CommSpec, DesignPoint, Topology};
+    use plaid_arch::{ArchClass, BwClass, CommLevel, CommSpec, Topology};
     use plaid_workloads::find_workload;
 
     fn spec_point(workload: &str, comm: CommSpec) -> SweepPoint {
@@ -388,115 +350,118 @@ mod tests {
                 }
             }
         }
-        // And even under a forced key collision, the bucket's identity check
-        // keeps the records apart (the design embeds the full spec).
+        // The design embeds the full spec, so a torus record never serves
+        // an aligned lookup.
         let cache = ResultCache::new();
-        cache.insert(keys[0].clone(), EvalRecord::failed(&torus, "torus"));
+        cache.insert(EvalRecord::failed(&torus, "torus"));
         assert!(
-            cache.lookup(&keys[0], &aligned).is_none(),
+            cache.lookup(&aligned).is_none(),
             "a torus record must never serve an aligned lookup"
         );
+    }
+
+    /// A scratch cache file path, unique per test.
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("plaid-explore-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("cache.json")
     }
 
     #[test]
     fn hit_miss_accounting() {
         let cache = ResultCache::new();
         let p = point("dwconv", CommLevel::Aligned);
-        let key = cache_key(&p);
-        assert!(cache.lookup(&key, &p).is_none());
-        assert_eq!(cache.misses(), 1);
-        let record = EvalRecord::failed(&p, "probe");
-        cache.insert(key.clone(), record);
-        assert!(cache.lookup(&key, &p).is_some());
-        assert_eq!(cache.hits(), 1);
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
-        cache.reset_counters();
-        assert_eq!(cache.hits() + cache.misses(), 0);
+        assert!(cache.lookup(&p).is_none(), "an empty cache misses");
+        cache.insert(EvalRecord::failed(&p, "probe"));
+        assert_eq!(
+            cache.lookup(&p).unwrap().error.as_deref(),
+            Some("probe"),
+            "the inserted record hits"
+        );
+        // A second insert of the same identity replaces the first.
+        cache.insert(EvalRecord::failed(&p, "updated"));
         assert_eq!(cache.len(), 1);
+        assert_eq!(cache.lookup(&p).unwrap().error.as_deref(), Some("updated"));
     }
 
     #[test]
     fn colliding_key_with_wrong_identity_is_a_miss() {
-        // Simulate a 64-bit hash collision: a record for a *different* point
-        // stored under this point's key must not be returned.
-        let cache = ResultCache::new();
+        // A file that stores another point's record under this point's key
+        // (a 64-bit hash collision, or a hand-edited file) must not serve
+        // this point; the record is kept for its own identity.
         let p = point("dwconv", CommLevel::Aligned);
         let other = point("fc", CommLevel::Rich);
-        let key = cache_key(&p);
-        cache.insert(key.clone(), EvalRecord::failed(&other, "imposter"));
-        assert!(
-            cache.lookup(&key, &p).is_none(),
-            "mismatched identity served"
-        );
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 0);
-    }
-
-    #[test]
-    fn colliding_points_coexist_in_one_bucket() {
-        // Regression: the historical cache stored one record per key, so on
-        // a 64-bit collision `insert` overwrote the other point's entry and
-        // the two points evicted each other forever.
-        let cache = ResultCache::new();
-        let p = point("dwconv", CommLevel::Aligned);
-        let other = point("fc", CommLevel::Rich);
-        let key = cache_key(&p);
-        cache.insert(key.clone(), EvalRecord::failed(&p, "mine"));
-        cache.insert(key.clone(), EvalRecord::failed(&other, "collider"));
-        assert_eq!(cache.len(), 2, "both colliding records retained");
-        let got_p = cache.lookup(&key, &p).expect("first record kept");
-        assert_eq!(got_p.error.as_deref(), Some("mine"));
-        let got_other = cache.lookup(&key, &other).expect("collider kept");
-        assert_eq!(got_other.error.as_deref(), Some("collider"));
-        // Same-identity insert replaces rather than appending.
-        cache.insert(key.clone(), EvalRecord::failed(&p, "updated"));
-        assert_eq!(cache.len(), 2);
+        let record = serde_json::to_string(&EvalRecord::failed(&other, "imposter")).unwrap();
+        let path = scratch("imposter");
+        std::fs::write(&path, format!("{{\"{}\": [{record}]}}", cache_key(&p))).unwrap();
+        let cache = ResultCache::load(&path).unwrap();
+        assert!(cache.lookup(&p).is_none(), "mismatched identity served");
         assert_eq!(
-            cache.lookup(&key, &p).unwrap().error.as_deref(),
-            Some("updated")
+            cache.lookup(&other).unwrap().error.as_deref(),
+            Some("imposter")
         );
-        // Both survive persistence.
-        let dir = std::env::temp_dir().join("plaid-explore-collision-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.json");
-        cache.save(&path).unwrap();
-        let reloaded = ResultCache::load(&path).unwrap();
-        assert_eq!(reloaded.len(), 2);
-        assert!(reloaded.lookup(&key, &p).is_some());
-        assert!(reloaded.lookup(&key, &other).is_some());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn union_merge_unions_buckets_and_self_merge_is_a_noop() {
+    fn records_sharing_a_file_key_load_and_save_under_their_own_keys() {
+        // Two records of different identity under one key (the grouped
+        // format a hash collision produces) both load, and each is saved
+        // under the key of its own identity.
+        let p = point("dwconv", CommLevel::Aligned);
+        let other = point("fc", CommLevel::Rich);
+        let (mine, theirs) = (
+            EvalRecord::failed(&p, "mine"),
+            EvalRecord::failed(&other, "collider"),
+        );
+        let path = scratch("shared-key");
+        std::fs::write(
+            &path,
+            format!(
+                "{{\"v1:00000000c0111de5\": [{}, {}]}}",
+                serde_json::to_string(&mine).unwrap(),
+                serde_json::to_string(&theirs).unwrap()
+            ),
+        )
+        .unwrap();
+        let cache = ResultCache::load(&path).unwrap();
+        assert_eq!(cache.len(), 2, "both records load");
+        assert_eq!(cache.lookup(&p), Some(mine.clone()));
+        assert_eq!(cache.lookup(&other), Some(theirs.clone()));
+        cache.save(&path).unwrap();
+        let saved: HashMap<String, Vec<EvalRecord>> =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let expected = HashMap::from([
+            (cache_key(&p), vec![mine]),
+            (cache_key(&other), vec![theirs]),
+        ]);
+        assert_eq!(saved, expected);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn union_merge_counts_new_identities_and_self_merge_is_a_noop() {
         let cache = ResultCache::new();
         let p = point("dwconv", CommLevel::Aligned);
         let other_point = point("fc", CommLevel::Rich);
-        let key = cache_key(&p);
-        cache.insert(key.clone(), EvalRecord::failed(&p, "mine"));
+        cache.insert(EvalRecord::failed(&p, "mine"));
         // Self-merge must neither deadlock nor duplicate.
         assert_eq!(cache.union_merge(&cache), 0);
         assert_eq!(cache.len(), 1);
-        // A colliding record of different identity arriving from another
-        // cache joins the bucket instead of evicting.
         let incoming = ResultCache::new();
-        incoming.insert(key.clone(), EvalRecord::failed(&other_point, "collider"));
-        incoming.insert(key.clone(), EvalRecord::failed(&p, "updated"));
-        assert_eq!(cache.union_merge(&incoming), 1, "only the collider is new");
+        incoming.insert(EvalRecord::failed(&other_point, "new"));
+        incoming.insert(EvalRecord::failed(&p, "updated"));
+        assert_eq!(cache.union_merge(&incoming), 1, "only one identity is new");
         assert_eq!(cache.len(), 2);
         assert_eq!(
-            cache.lookup(&key, &p).unwrap().error.as_deref(),
+            cache.lookup(&p).unwrap().error.as_deref(),
             Some("updated"),
             "same identity replaced by the merge input"
         );
-        assert_eq!(
-            cache.lookup(&key, &other_point).unwrap().error.as_deref(),
-            Some("collider")
-        );
         // Canonical snapshots are identical however the records arrived.
         let rebuilt = ResultCache::new();
-        rebuilt.insert(key.clone(), EvalRecord::failed(&other_point, "collider"));
-        rebuilt.insert(key, EvalRecord::failed(&p, "updated"));
+        rebuilt.insert(EvalRecord::failed(&p, "updated"));
+        rebuilt.insert(EvalRecord::failed(&other_point, "new"));
         assert_eq!(cache.canonical_records(), rebuilt.canonical_records());
     }
 
@@ -504,23 +469,16 @@ mod tests {
     fn save_is_atomic_and_leaves_no_temp_files() {
         let cache = ResultCache::new();
         let p = point("dwconv", CommLevel::Lean);
-        cache.insert(cache_key(&p), EvalRecord::failed(&p, "v1"));
+        cache.insert(EvalRecord::failed(&p, "v1"));
         let dir = std::env::temp_dir().join("plaid-explore-atomic-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
         cache.save(&path).unwrap();
         // Overwriting an existing file goes through the same tmp+rename.
-        cache.insert(cache_key(&p), EvalRecord::failed(&p, "v2"));
+        cache.insert(EvalRecord::failed(&p, "v2"));
         cache.save(&path).unwrap();
         let reloaded = ResultCache::load(&path).unwrap();
-        assert_eq!(
-            reloaded
-                .lookup(&cache_key(&p), &p)
-                .unwrap()
-                .error
-                .as_deref(),
-            Some("v2")
-        );
+        assert_eq!(reloaded.lookup(&p).unwrap().error.as_deref(), Some("v2"));
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
@@ -545,26 +503,35 @@ mod tests {
         std::fs::write(&path, legacy).unwrap();
         let cache = ResultCache::load(&path).unwrap();
         assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(&key, &p).is_some());
+        assert!(cache.lookup(&p).is_some());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn save_and_load_round_trip() {
+        // save -> load -> save writes the same bytes: loading re-keys each
+        // record by its identity and saving groups it under the same key.
         let cache = ResultCache::new();
-        let p = point("dwconv", CommLevel::Rich);
-        let key = cache_key(&p);
-        cache.insert(key.clone(), EvalRecord::failed(&p, "persisted"));
-        let dir = std::env::temp_dir().join("plaid-explore-cache-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.json");
+        let mapped = crate::sweep::evaluate_point(&point("dwconv", CommLevel::Aligned), &cache);
+        assert!(mapped.ok, "dwconv maps on plaid-2x2");
+        for (workload, comm) in [("dwconv", CommLevel::Rich), ("fc", CommLevel::Lean)] {
+            let p = point(workload, comm);
+            cache.insert(EvalRecord::failed(&p, format!("{workload} persisted")));
+        }
+        let path = scratch("round-trip");
         cache.save(&path).unwrap();
+        let first = std::fs::read(&path).unwrap();
         let reloaded = ResultCache::load(&path).unwrap();
-        assert_eq!(reloaded.len(), 1);
-        assert!(reloaded.lookup(&key, &p).is_some());
+        assert_eq!(reloaded.canonical_records(), cache.canonical_records());
+        reloaded.save(&path).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            first,
+            "re-saved bytes differ"
+        );
         std::fs::remove_file(&path).ok();
         // Missing file loads as empty.
-        let empty = ResultCache::load(&dir.join("nonexistent.json")).unwrap();
+        let empty = ResultCache::load(&path).unwrap();
         assert!(empty.is_empty());
     }
 }

@@ -15,15 +15,15 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use plaid::pipeline::{
-    compile_workload_on, compile_workload_on_seeded, InfeasiblePrefix, MapError, MapSeed,
-    MapperChoice, PipelineError, PlacementSeed, SeedOutcome,
+    compile_workload_on_seeded, InfeasiblePrefix, MapError, MapSeed, MapperChoice, PipelineError,
+    PlacementSeed, SeedOutcome,
 };
 use plaid_arch::{ArchClass, DesignPoint, SpaceSpec};
 use plaid_workloads::Workload;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{cache_key, ResultCache};
+use crate::cache::ResultCache;
 use crate::record::EvalRecord;
 use crate::seed::SeedPolicy;
 
@@ -139,19 +139,14 @@ pub struct SweepOutcome {
     pub stats: SweepStats,
 }
 
-/// Evaluates one sweep point, consulting (and populating) the cache.
+/// Evaluates one sweep point, consulting (and populating) the cache: the
+/// one-point group every point of a [`SeedPolicy::Off`] sweep runs as.
 pub fn evaluate_point(point: &SweepPoint, cache: &ResultCache) -> EvalRecord {
-    let key = cache_key(point);
-    if let Some(record) = cache.lookup(&key, point) {
-        return record;
-    }
-    let arch = point.design.build();
-    let record = match compile_workload_on(&point.workload, &arch, point.mapper) {
-        Ok(compiled) => EvalRecord::succeeded(point, compiled.summary()),
-        Err(e) => EvalRecord::failed(point, e.to_string()),
-    };
-    cache.insert(key, record.clone());
-    record
+    let mut outcome = evaluate_group([point].into_iter(), cache);
+    outcome
+        .records
+        .pop()
+        .expect("a one-point group yields one record")
 }
 
 /// Runs the plan with the default warm-start policy
@@ -162,64 +157,53 @@ pub fn evaluate_point(point: &SweepPoint, cache: &ResultCache) -> EvalRecord {
 /// group run sequentially (in depth order) so later points can reuse
 /// earlier seeds, and only distinct groups run in parallel. A plan that is
 /// one big group therefore trades per-point parallelism for seed reuse —
-/// pass [`SeedPolicy::Off`] to [`run_sweep_with`] to get the flat
-/// fully-parallel evaluation instead.
+/// pass [`SeedPolicy::Off`] to [`run_sweep_with`] to run every point as its
+/// own parallel task instead.
 ///
-/// Cache hit/miss accounting in the returned [`SweepStats`] reflects only
-/// this pass (the cache's counters are reset on entry).
+/// The cache accounting in the returned [`SweepStats`] counts only this
+/// pass's lookups.
 pub fn run_sweep(plan: &SweepPlan, cache: &ResultCache) -> SweepOutcome {
     run_sweep_with(plan, cache, SeedPolicy::Exact)
 }
 
 /// Runs the plan in parallel under an explicit warm-start policy.
 ///
-/// Points are grouped by seed group (workload × class × dimensions ×
-/// topology × mapper — configuration depth, bandwidth and select policy
-/// erased) and each group is evaluated in ascending depth,
+/// Under [`SeedPolicy::Exact`], points are grouped by seed group (workload ×
+/// class × dimensions × topology × mapper — configuration depth, bandwidth
+/// and select policy erased) and each group is evaluated in ascending depth,
 /// aligned-communication-first order, so every group compiles one ladder
 /// cold and derives its siblings from it: an exact replay for depth
 /// siblings (identical fabric signature), a capacity-certified replay for
 /// communication siblings, and a skipped ladder prefix where a shallower
 /// sibling proved its ladder infeasible. The mapper decides which of the
-/// group's seeds and proofs apply. Groups still run in parallel; records
-/// come back in plan order.
+/// group's seeds and proofs apply. Under [`SeedPolicy::Off`] every point is
+/// a group of its own, so its empty hint maps it from scratch. Groups run in
+/// parallel; records come back in plan order.
 pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy) -> SweepOutcome {
     let start = Instant::now();
-    cache.reset_counters();
-
-    // The cold path stays flat: without seeding there is no reason to
-    // serialize points within a group, so every point is an independent
-    // parallel task — the `--seed off` baseline measures exactly the
-    // pre-seeding sweep.
-    let (records, seeded, seed_hits) = if policy == SeedPolicy::Off {
-        let records: Vec<EvalRecord> = plan
-            .points
-            .par_iter()
-            .map(|point| evaluate_point(point, cache))
-            .collect();
-        (records, 0, 0)
-    } else {
-        let groups: Vec<GroupOutcome> = group_points_for_seeding(plan)
-            .par_iter()
-            .map(|group| evaluate_group(plan, group, cache))
-            .collect();
-        let mut slots: Vec<Option<EvalRecord>> = vec![None; plan.len()];
-        let (mut seeded, mut seed_hits) = (0, 0);
-        for group in groups {
-            seeded += group.seeded;
-            seed_hits += group.seed_hits;
-            for (i, record) in group.records {
-                slots[i] = Some(record);
-            }
-        }
-        let records = slots
-            .into_iter()
-            .map(|r| r.expect("every plan point evaluated"))
-            .collect();
-        (records, seeded, seed_hits)
+    let groups = match policy {
+        SeedPolicy::Off => (0..plan.len()).map(|i| vec![i]).collect(),
+        SeedPolicy::Exact => group_points_for_seeding(plan),
     };
+    let outcomes: Vec<GroupOutcome> = groups
+        .par_iter()
+        .map(|group| evaluate_group(group.iter().map(|&i| &plan.points[i]), cache))
+        .collect();
+    let mut slots: Vec<Option<EvalRecord>> = vec![None; plan.len()];
+    let (mut cache_hits, mut seeded, mut seed_hits) = (0, 0, 0);
+    for (group, outcome) in groups.iter().zip(outcomes) {
+        cache_hits += outcome.cache_hits;
+        seeded += outcome.seeded;
+        seed_hits += outcome.seed_hits;
+        for (&i, record) in group.iter().zip(outcome.records) {
+            slots[i] = Some(record);
+        }
+    }
+    let records: Vec<EvalRecord> = slots
+        .into_iter()
+        .map(|r| r.expect("every plan point evaluated"))
+        .collect();
 
-    let cache_hits = cache.hits() as usize;
     let failures = records.iter().filter(|r| !r.ok).count();
     SweepOutcome {
         stats: SweepStats {
@@ -279,10 +263,11 @@ fn group_points_for_seeding(plan: &SweepPlan) -> Vec<Vec<usize>> {
     groups
 }
 
-/// The records of one seed group, tagged with their plan indices, and the
-/// group's share of the seeding counters.
+/// The records of one seed group, in group order, and the group's share of
+/// the cache and seeding counters.
 struct GroupOutcome {
-    records: Vec<(usize, EvalRecord)>,
+    records: Vec<EvalRecord>,
+    cache_hits: usize,
     seeded: usize,
     seed_hits: usize,
 }
@@ -295,19 +280,24 @@ struct GroupOutcome {
 /// and a cache persisted by an older mapper could otherwise floor points the
 /// current mapper maps. Cached seeds are safe, because the mapper
 /// re-validates a seed on the target fabric before replaying it.
-fn evaluate_group(plan: &SweepPlan, group: &[usize], cache: &ResultCache) -> GroupOutcome {
+fn evaluate_group<'a>(
+    group: impl ExactSizeIterator<Item = &'a SweepPoint>,
+    cache: &ResultCache,
+) -> GroupOutcome {
     let mut seeds: Vec<PlacementSeed> = Vec::new();
     let mut proofs: Vec<InfeasiblePrefix> = Vec::new();
     let mut outcome = GroupOutcome {
         records: Vec::with_capacity(group.len()),
+        cache_hits: 0,
         seeded: 0,
         seed_hits: 0,
     };
-    for &i in group {
-        let point = &plan.points[i];
-        let key = cache_key(point);
-        let record = match cache.lookup(&key, point) {
-            Some(record) => record,
+    for point in group {
+        let record = match cache.lookup(point) {
+            Some(record) => {
+                outcome.cache_hits += 1;
+                record
+            }
             None => {
                 let arch = point.design.build();
                 let hint = MapSeed {
@@ -340,12 +330,12 @@ fn evaluate_group(plan: &SweepPlan, group: &[usize], cache: &ResultCache) -> Gro
                 };
                 outcome.seeded += usize::from(used.hinted());
                 outcome.seed_hits += usize::from(used.hit());
-                cache.insert(key, record.clone());
+                cache.insert(record.clone());
                 record
             }
         };
         seeds.extend(record.summary.as_ref().and_then(|s| s.seed.clone()));
-        outcome.records.push((i, record));
+        outcome.records.push(record);
     }
     outcome
 }
@@ -439,13 +429,10 @@ mod tests {
         let cold16 = evaluate_point(&p16, &ResultCache::new());
         assert!(cold16.ok, "dwconv maps on the 2x2 baseline");
         let cache = ResultCache::new();
-        cache.insert(
-            cache_key(&p8),
-            EvalRecord::failed(
-                &p8,
-                "mapping failed: no valid mapping of dwconv onto spatio-temporal-2x2 up to II=8",
-            ),
-        );
+        cache.insert(EvalRecord::failed(
+            &p8,
+            "mapping failed: no valid mapping of dwconv onto spatio-temporal-2x2 up to II=8",
+        ));
         let plan = SweepPlan {
             points: vec![p8, p16],
         };

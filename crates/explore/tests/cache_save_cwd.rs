@@ -6,7 +6,7 @@
 
 use plaid::pipeline::MapperChoice;
 use plaid_arch::{ArchClass, CommSpec, DesignPoint};
-use plaid_explore::{cache_key, EvalRecord, ResultCache, SweepPoint};
+use plaid_explore::{EvalRecord, ResultCache, SweepPoint};
 use plaid_workloads::find_workload;
 
 #[test]
@@ -27,12 +27,8 @@ fn save_to_bare_filename_stays_in_the_scratch_cwd() {
         },
         mapper: MapperChoice::Plaid,
     };
-    let key = cache_key(&point);
     let cache = ResultCache::new();
-    cache.insert(
-        key.clone(),
-        EvalRecord::failed(&point, "bare-filename save"),
-    );
+    cache.insert(EvalRecord::failed(&point, "bare-filename save"));
 
     // Save to a bare filename (no parent component at all) — the temp file
     // must be created beside it in the scratch cwd, then renamed over it.
@@ -59,7 +55,7 @@ fn save_to_bare_filename_stays_in_the_scratch_cwd() {
     cache.save(std::path::Path::new("bare-cache.json")).unwrap();
     let reloaded = ResultCache::load(std::path::Path::new("bare-cache.json")).unwrap();
     assert_eq!(reloaded.len(), 1);
-    assert!(reloaded.lookup(&key, &point).is_some());
+    assert!(reloaded.lookup(&point).is_some());
 
     std::env::set_current_dir(&original_cwd).unwrap();
     std::fs::remove_dir_all(&scratch).ok();

@@ -11,8 +11,8 @@
 use std::process::Command;
 
 use plaid_explore::{
-    merge_outcomes, run_sweep, run_sweep_sharded, EvalRecord, FrontierReport, ResultCache,
-    SeedPolicy, ShardSpec, SweepPlan,
+    run_sweep, run_sweep_with, shard_plan, EvalRecord, FrontierReport, ResultCache, SeedPolicy,
+    ShardSpec, SweepPlan,
 };
 use plaid_workloads::table2_workloads;
 
@@ -36,49 +36,53 @@ fn four_way_sharded_default_sweep_merges_bit_identically() {
     std::fs::create_dir_all(&scratch).unwrap();
 
     // Single-process reference, computed independently of the shards.
-    let whole = run_sweep(&plan, &ResultCache::new());
+    let whole_cache = ResultCache::new();
+    let whole = run_sweep(&plan, &whole_cache);
     let whole_frontier = FrontierReport::from_records(&whole.records);
     let whole_frontier_json = serde_json::to_string_pretty(&whole_frontier).unwrap();
 
     // Four shard runs, each with its own cache file and seed groups —
     // exactly what four `plaid-dse --shard i/4` processes would do.
     const SHARDS: u32 = 4;
-    let mut shard_outcomes = Vec::new();
+    let merged = ResultCache::new();
+    let (mut compiled, mut failures) = (0, 0);
     let mut shard_cache_paths = Vec::new();
     for index in 0..SHARDS {
         let cache = ResultCache::new();
-        let outcome = run_sweep_sharded(
+        let shard = shard_plan(
             &plan,
             ShardSpec {
                 index,
                 count: SHARDS,
             },
-            &cache,
-            SeedPolicy::Exact,
         );
+        let outcome = run_sweep_with(&shard, &cache, SeedPolicy::Exact);
         assert_eq!(
             cache.len(),
             outcome.records.len(),
             "shard cache holds exactly its shard's records"
         );
+        compiled += outcome.stats.compiled;
+        failures += outcome.stats.failures;
+        assert_eq!(
+            merged.union_merge(&cache),
+            shard.len(),
+            "shards are disjoint"
+        );
         let path = scratch.join(format!("shard-{index}.json"));
         cache.save(&path).unwrap();
         shard_cache_paths.push(path);
-        shard_outcomes.push(outcome);
     }
 
-    // Library-level merge: records reorder into plan order, stats totals
-    // match the single-process pass (seeding counters are intra-shard and
-    // wall time is aggregate, so only the deterministic totals compare).
-    let merged = merge_outcomes(&plan, &shard_outcomes).expect("shards partition the plan");
-    assert_eq!(merged.stats.points, whole.stats.points);
-    assert_eq!(merged.stats.compiled, whole.stats.compiled);
-    assert_eq!(merged.stats.cache_hits, whole.stats.cache_hits);
-    assert_eq!(merged.stats.failures, whole.stats.failures);
+    // Library-level merge, the path `plaid-dse merge` runs: the union holds
+    // the single-process records (seeding counters are intra-shard, so only
+    // the deterministic totals compare).
+    assert_eq!(compiled, whole.stats.compiled);
+    assert_eq!(failures, whole.stats.failures);
     assert_eq!(
-        strip_seeds(&merged.records),
-        strip_seeds(&whole.records),
-        "merged records are the single-process records, in plan order"
+        strip_seeds(&merged.canonical_records()),
+        strip_seeds(&whole_cache.canonical_records()),
+        "merged records are the single-process records"
     );
 
     // Binary-level merge: `plaid-dse merge` unions the four shard caches
@@ -106,9 +110,9 @@ fn four_way_sharded_default_sweep_merges_bit_identically() {
         "merged frontier JSON diverges from the single-process sweep"
     );
 
-    // The merged cache covers the whole plan and reloads cleanly.
+    // The merged cache file holds the library merge's records exactly.
     let reloaded = ResultCache::load(&merged_cache_path).unwrap();
-    assert_eq!(reloaded.len(), plan.len());
+    assert_eq!(reloaded.canonical_records(), merged.canonical_records());
 
     std::fs::remove_dir_all(&scratch).ok();
 }
@@ -146,5 +150,47 @@ fn shard_cli_flag_runs_the_content_hash_subset() {
     assert!(!sub.is_empty(), "shard 1/3 of the smoke plan is non-empty");
     let cache = ResultCache::load(&cache_path).unwrap();
     assert_eq!(cache.len(), sub.len());
+    std::fs::remove_dir_all(&scratch).ok();
+}
+
+#[test]
+fn merge_rejects_missing_and_duplicate_shard_caches() {
+    // A mistyped or missing shard cache must fail the merge rather than
+    // count as empty (which would write a frontier over part of the plan),
+    // and a shard listed twice must fail as an overlap.
+    let scratch = std::env::temp_dir().join(format!("plaid-merge-reject-{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).unwrap();
+    let shard0 = scratch.join("s0.json");
+    let sweep = Command::new(env!("CARGO_BIN_EXE_plaid-dse"))
+        .args(["--grid", "smoke", "--shard", "0/2", "--passes", "1"])
+        .args(["--no-frontier-file", "--quiet", "--cache"])
+        .arg(&shard0)
+        .output()
+        .expect("plaid-dse --shard runs");
+    assert!(sweep.status.success());
+    let merge = |inputs: &[&std::path::Path]| {
+        let out = scratch.join("merged.json");
+        std::fs::remove_file(&out).ok();
+        let output = Command::new(env!("CARGO_BIN_EXE_plaid-dse"))
+            .arg("merge")
+            .arg(&out)
+            .args(inputs)
+            .args(["--no-frontier-file", "--quiet"])
+            .output()
+            .expect("plaid-dse merge runs");
+        (output.status.success(), out.exists())
+    };
+    let typo = scratch.join("s1-typo.json");
+    assert_eq!(
+        merge(&[&shard0, &typo]),
+        (false, false),
+        "missing shard cache"
+    );
+    assert_eq!(
+        merge(&[&shard0, &shard0]),
+        (false, false),
+        "duplicated shard"
+    );
+    assert_eq!(merge(&[&shard0]), (true, true));
     std::fs::remove_dir_all(&scratch).ok();
 }

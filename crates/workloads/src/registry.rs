@@ -85,7 +85,7 @@ impl Workload {
 /// Serializable identity of a workload: everything needed to name a sweep
 /// point and re-resolve the workload from the registry, without embedding the
 /// kernel IR itself.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct WorkloadDescriptor {
     /// Display name, e.g. `atax_u2`.
     pub name: String,

@@ -12,7 +12,7 @@ use plaid_arch::{
 };
 use plaid_dfg::Dfg;
 use plaid_explore::{
-    cache_key, evaluate_point, run_sweep_with, ResultCache, SeedPolicy, SweepPlan, SweepPoint,
+    evaluate_point, run_sweep_with, ResultCache, SeedPolicy, SweepPlan, SweepPoint,
 };
 use plaid_mapper::{
     dfg_fingerprint, fabric_signature, mii, InfeasiblePrefix, MapError, MapSeed, PathFinderMapper,
@@ -223,7 +223,7 @@ fn persisted_non_canonical_seeds_load_but_never_replay() {
             .expect("dwconv maps at depth 8")
             .seed = Some(seed.clone());
         let cache = ResultCache::new();
-        cache.insert(cache_key(&p8), record);
+        cache.insert(record);
         run_sweep_with(&plan, &cache, SeedPolicy::Exact)
     };
     let legacy_sweep = sweep_over(&legacy);

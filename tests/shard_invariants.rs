@@ -1,12 +1,11 @@
-//! Property tests for the sweep-sharding layer: `partition_plan` is a true
-//! partition (disjoint, covering, stable under point permutation) and
-//! `ResultCache::union_merge` of arbitrarily split caches reconstructs the
-//! unsplit cache — including colliding-key buckets, where two records of
-//! different identity share one 64-bit key (the PR 2 bucket format).
+//! Property tests for the sweep-sharding layer: the shards `shard_plan`
+//! selects partition a plan (disjoint, covering, stable under point
+//! permutation) and `ResultCache::union_merge` of arbitrarily split caches
+//! reconstructs the unsplit cache.
 
 use plaid_arch::{ArchClass, CommSpec, SpaceSpec};
 use plaid_explore::{
-    cache_key, partition_plan, shard_of, EvalRecord, ResultCache, SweepPlan, SweepPoint,
+    cache_key, shard_of, shard_plan, EvalRecord, ResultCache, ShardSpec, SweepPlan, SweepPoint,
 };
 use plaid_workloads::find_workload;
 use proptest::prelude::*;
@@ -43,6 +42,13 @@ fn shuffle<T>(items: &mut [T], mut seed: u64) {
     }
 }
 
+/// Every shard of a `count`-way split, by `shard_plan`.
+fn all_shards(plan: &SweepPlan, count: u32) -> Vec<SweepPlan> {
+    (0..count)
+        .map(|index| shard_plan(plan, ShardSpec { index, count }))
+        .collect()
+}
+
 /// Selects a subset of the pool from a bitmask seed (always non-empty).
 fn subset(pool: &[SweepPoint], mask: u64) -> Vec<SweepPoint> {
     let picked: Vec<SweepPoint> = pool
@@ -70,11 +76,10 @@ proptest! {
         let pool = point_pool();
         let points = subset(&pool, mask);
         let plan = SweepPlan { points: points.clone() };
-        let shards = partition_plan(&plan, count);
+        let shards = all_shards(&plan, count);
 
         // Disjoint and covering: every point appears in exactly one shard,
         // and in the shard its content hash names.
-        prop_assert_eq!(shards.len(), count as usize);
         let mut seen = std::collections::HashMap::new();
         for (i, shard) in shards.iter().enumerate() {
             for point in &shard.points {
@@ -91,7 +96,7 @@ proptest! {
         // order, never membership.
         let mut permuted_points = points;
         shuffle(&mut permuted_points, perm_seed);
-        let permuted = partition_plan(&SweepPlan { points: permuted_points }, count);
+        let permuted = all_shards(&SweepPlan { points: permuted_points }, count);
         for (a, b) in shards.iter().zip(permuted.iter()) {
             let mut ka: Vec<String> = a.points.iter().map(cache_key).collect();
             let mut kb: Vec<String> = b.points.iter().map(cache_key).collect();
@@ -110,26 +115,13 @@ proptest! {
         let pool = point_pool();
         let points = subset(&pool, mask);
 
-        // The unsplit reference: every point's record under its own key,
-        // plus forced colliding-key buckets — the first two pool points
-        // stored under one shared key with distinct identities (the PR 2
-        // bucket format survives 64-bit collisions).
-        let collider_key = "v1:00000000c0111de5".to_string();
-        let colliders = [
-            EvalRecord::failed(&pool[0], "collider-a"),
-            EvalRecord::failed(&pool[1], "collider-b"),
-        ];
+        // The unsplit reference: every point's record in one cache.
         let unsplit = ResultCache::new();
         for point in &points {
-            unsplit.insert(cache_key(point), EvalRecord::failed(point, "probe"));
-        }
-        for record in &colliders {
-            unsplit.insert(collider_key.clone(), record.clone());
+            unsplit.insert(EvalRecord::failed(point, "probe"));
         }
 
-        // Split the same inserts across `parts` caches by an LCG draw —
-        // crucially, the two colliding records may land in *different*
-        // caches, so the merge must union their bucket rather than evict.
+        // Split the same inserts across `parts` caches by an LCG draw.
         let split: Vec<ResultCache> = (0..parts).map(|_| ResultCache::new()).collect();
         let mut seed = split_seed;
         let mut draw = |n: usize| {
@@ -137,10 +129,7 @@ proptest! {
             (seed >> 33) as usize % n
         };
         for point in &points {
-            split[draw(parts)].insert(cache_key(point), EvalRecord::failed(point, "probe"));
-        }
-        for record in &colliders {
-            split[draw(parts)].insert(collider_key.clone(), record.clone());
+            split[draw(parts)].insert(EvalRecord::failed(point, "probe"));
         }
 
         let merged = ResultCache::new();

@@ -178,25 +178,13 @@ mod tests {
             let shards = all_shards(&plan, count);
             let total: usize = shards.iter().map(SweepPlan::len).sum();
             assert_eq!(total, plan.len(), "{count}-way split covers the plan");
-            // Each point's key appears in exactly the shard its hash names,
-            // and within a shard the plan's order is kept.
+            // Each point's key appears in exactly the shard its hash names.
             let mut seen = std::collections::HashSet::new();
             for (i, shard) in shards.iter().enumerate() {
                 for point in &shard.points {
                     assert_eq!(shard_of(point, count) as usize, i);
                     assert!(seen.insert(cache_key(point)), "point in two shards");
                 }
-                let positions: Vec<usize> = shard
-                    .points
-                    .iter()
-                    .map(|p| {
-                        plan.points
-                            .iter()
-                            .position(|q| cache_key(q) == cache_key(p))
-                            .unwrap()
-                    })
-                    .collect();
-                assert!(positions.windows(2).all(|w| w[0] < w[1]));
             }
         }
     }
@@ -216,6 +204,35 @@ mod tests {
                 bk.sort();
                 assert_eq!(fk, bk, "shard membership changed with plan order");
             }
+        }
+    }
+
+    #[test]
+    fn shard_plan_matches_partition_and_preserves_order() {
+        let plan = small_plan();
+        for index in 0..3u32 {
+            let spec = ShardSpec { index, count: 3 };
+            let filtered = shard_plan(&plan, spec);
+            let keys: Vec<String> = filtered.points.iter().map(cache_key).collect();
+            // Exactly the plan's points whose hash names this shard, in plan order.
+            let expect: Vec<String> = plan
+                .points
+                .iter()
+                .filter(|p| shard_of(p, 3) == index)
+                .map(cache_key)
+                .collect();
+            assert_eq!(keys, expect);
+            let positions: Vec<usize> = filtered
+                .points
+                .iter()
+                .map(|p| {
+                    plan.points
+                        .iter()
+                        .position(|q| cache_key(q) == cache_key(p))
+                        .unwrap()
+                })
+                .collect();
+            assert!(positions.windows(2).all(|w| w[0] < w[1]));
         }
     }
 

@@ -1,11 +1,11 @@
-//! The mapper-kernel throughput measurement shared by the `mapper_kernel`
-//! Criterion bench and the `plaid-bench` regression-gate binary.
+//! The mapper-kernel throughput measurement behind the `plaid-bench`
+//! regression-gate binary.
 //!
-//! Both consumers need the *same* operations measured the same way — an
-//! SA-style journalled move transaction and a scratch-backed router search
-//! on a 4×4 and an 8×8 spatio-temporal fabric — so the definitions live
-//! here: the bench tracks them interactively, the gate compares a fresh
-//! run against the committed `BENCH_mapper.json` baseline.
+//! Two operations are timed on a 4×4 and an 8×8 spatio-temporal fabric: an
+//! SA-style journalled move transaction ([`one_move`], the simulated
+//! annealing inner loop, which no sweep runs) and a scratch-backed router
+//! search ([`one_route`]). The gate compares a fresh run against the
+//! committed `BENCH_mapper.json` baseline.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -150,7 +150,7 @@ impl KernelReport {
 }
 
 /// Measures mapper-kernel throughput on the standard fabrics, spending
-/// `budget` of wall time per rate (the bench headline uses 400 ms).
+/// `budget` of wall time per rate (the gate defaults to 400 ms).
 pub fn measure_kernel(budget: Duration) -> KernelReport {
     let dfg = bench_dfg();
     let mut fabrics = Vec::new();

@@ -1,42 +1,7 @@
-//! Shared helpers for the benchmark harness.
-//!
-//! Every bench target regenerates one table or figure of the paper: it runs
-//! the corresponding experiment from `plaid::experiments` once, prints the
-//! same rows/series the paper reports, and then registers a small Criterion
-//! measurement of the dominant algorithmic step so `cargo bench` also tracks
-//! compiler throughput over time.
+//! The mapper-kernel throughput measurement behind the `plaid-bench`
+//! regression gate (see [`kernel`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod kernel;
-
-use plaid::experiments::ExperimentScope;
-
-/// Scope used by the benchmark harness.
-///
-/// Set `PLAID_BENCH_SCOPE=full` to run all 30 workloads, `smoke` for a quick
-/// check; the default is the representative 15-workload subset spanning all
-/// three domains.
-pub fn bench_scope() -> ExperimentScope {
-    match std::env::var("PLAID_BENCH_SCOPE").as_deref() {
-        Ok("full") => ExperimentScope::FULL,
-        Ok("representative") => ExperimentScope::REPRESENTATIVE,
-        Ok("smoke") => ExperimentScope::SMOKE,
-        // Default: every third workload (10 of 30, spanning all domains) so a
-        // plain `cargo bench` finishes quickly; use `full` to regenerate the
-        // complete figures.
-        _ => ExperimentScope {
-            workload_limit: None,
-            stride: 3,
-        },
-    }
-}
-
-/// A small, fast workload used for the Criterion measurement loops.
-pub fn measurement_workload() -> plaid_workloads::Workload {
-    plaid_workloads::table2_workloads()
-        .into_iter()
-        .find(|w| w.name == "dwconv")
-        .expect("dwconv is registered")
-}

@@ -9,8 +9,8 @@
 //! * [`experiments`] — one runner per table/figure of the paper's evaluation
 //!   (performance, energy, performance/area, DNN applications, scalability,
 //!   mapper ablation, domain specialization, power/area breakdowns).
-//! * [`report`] — plain-text table rendering used by the benches and
-//!   examples to print the same rows the paper reports.
+//! * [`report`] — plain-text table rendering used by the experiment runners
+//!   and examples to print the same rows the paper reports.
 //!
 //! # Quickstart
 //!

@@ -12,7 +12,6 @@
 //! its earlier points produced, passing them to the mapper as the hint.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use plaid::pipeline::{
     compile_workload_on_seeded, InfeasiblePrefix, MapError, MapSeed, MapperChoice, PipelineError,
@@ -114,8 +113,6 @@ pub struct SweepStats {
     /// exact replay, a floored or a fast-failed II ladder
     /// ([`plaid::pipeline::SeedOutcome::hit`]).
     pub seed_hits: usize,
-    /// Wall-clock time of the pass in milliseconds.
-    pub wall_ms: u64,
 }
 
 impl SweepStats {
@@ -180,7 +177,6 @@ pub fn run_sweep(plan: &SweepPlan, cache: &ResultCache) -> SweepOutcome {
 /// a group of its own, so its empty hint maps it from scratch. Groups run in
 /// parallel; records come back in plan order.
 pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy) -> SweepOutcome {
-    let start = Instant::now();
     let groups = match policy {
         SeedPolicy::Off => (0..plan.len()).map(|i| vec![i]).collect(),
         SeedPolicy::Exact => group_points_for_seeding(plan),
@@ -213,7 +209,6 @@ pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy)
             failures,
             seeded,
             seed_hits,
-            wall_ms: start.elapsed().as_millis() as u64,
         },
         records,
     }

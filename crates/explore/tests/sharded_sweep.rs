@@ -194,3 +194,29 @@ fn merge_rejects_missing_and_duplicate_shard_caches() {
     assert_eq!(merge(&[&shard0]), (true, true));
     std::fs::remove_dir_all(&scratch).ok();
 }
+
+#[test]
+fn out_file_is_byte_identical_across_runs() {
+    // `--out` is a deterministic output: two runs of one plan must write
+    // the same bytes, so no wall-clock figure may be serialized into it.
+    let scratch = std::env::temp_dir().join(format!("plaid-out-twice-{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).unwrap();
+    let run = |name: &str| {
+        let path = scratch.join(name);
+        let output = Command::new(env!("CARGO_BIN_EXE_plaid-dse"))
+            .args(["--grid", "smoke", "--workloads", "dwconv,atax_u2"])
+            .args(["--passes", "1", "--no-frontier-file", "--quiet", "--out"])
+            .arg(&path)
+            .output()
+            .expect("plaid-dse --out runs");
+        assert!(
+            output.status.success(),
+            "plaid-dse --out failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        std::fs::read(&path).unwrap()
+    };
+    let first = run("a.json");
+    assert!(first == run("b.json"), "two --out runs differ");
+    std::fs::remove_dir_all(&scratch).ok();
+}

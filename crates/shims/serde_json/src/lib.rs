@@ -43,6 +43,7 @@ pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T, Error> {
 /// Parses JSON text into a [`Value`] tree.
 pub fn parse_value(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -154,6 +155,7 @@ fn write_escaped(out: &mut String, s: &str) {
 // ---- parsing ---------------------------------------------------------------
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -321,12 +323,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // slice. Both are ASCII, so the cut is a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
                 None => return Err(Error::custom("unterminated string")),
             }
@@ -404,6 +408,22 @@ mod tests {
         let pretty = to_string_pretty(&v).unwrap();
         assert_eq!(parse_value(&pretty).unwrap(), v);
         assert!(pretty.contains('\n'));
+    }
+
+    #[test]
+    fn long_strings_decode_in_linear_time() {
+        // Runs between escapes are copied as one slice each: decoding char
+        // by char re-validated the rest of the input per char, which took
+        // minutes on this input.
+        let encoded = r#"ascii ünïcode 模式 🦀 \"quoted\" back\\slash\t\u00e9\ud83e\udd80 "#;
+        let decoded = "ascii ünïcode 模式 🦀 \"quoted\" back\\slash\t\u{e9}\u{1f980} ";
+        let n = (1 << 20) / encoded.len() + 1;
+        let text = format!("\"{}\"", encoded.repeat(n));
+        assert!(text.len() > 1 << 20);
+        let Value::String(s) = parse_value(&text).unwrap() else {
+            panic!("a JSON string parses to a string");
+        };
+        assert!(s == decoded.repeat(n), "decoded string differs");
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn plaid_mapper_is_competitive_with_generic_mappers_on_plaid() {
     // kernels can swing either way because all three mappers are stochastic
     // search procedures. Here we only require that the motif-aware mapper
     // stays within a factor of two of the SA baseline on a couple of kernels;
-    // the suite-level comparison lives in the fig18_mappers bench.
+    // the suite-level comparison is Figure 18 in `examples/paper_figures.rs`.
     for name in ["gemm_u2", "bicg_u2"] {
         let w = workload(name);
         let plaid = compile_workload(&w, ArchChoice::Plaid2x2, MapperChoice::Plaid).unwrap();
